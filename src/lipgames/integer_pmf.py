@@ -6,6 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BudgetExceededError
+
+#: Largest trial count :func:`binomial_probs` accepts.  The O(n) closed forms
+#: built on it hold a few float arrays of that length (80 MB each at the
+#: limit); larger counts raise :class:`BudgetExceededError` up front instead
+#: of failing with ``MemoryError`` part way through.
+MAX_TRIALS = 10**7
+
 #: Guard tolerance for the sum-to-one check at construction time.  Exact
 #: dynamic programs drift by a few ulps per step, so extremely long
 #: recurrences (tens of thousands of steps) stay well inside this bound
@@ -56,3 +64,28 @@ class IntegerPmf:
     def mean(self) -> float:
         support = np.arange(self.offset, self.offset + self.probs.size)
         return float(support @ self.probs)
+
+
+def binomial_probs(m: int, p: float) -> np.ndarray:
+    """Binomial(m, p) point probabilities at 0..m.
+
+    Starts from 1 at the mode, takes cumulative products of the neighbour
+    ratios outward in both directions and divides by their sum, so no
+    factorial or ``lgamma`` is formed and the peak carries no cancellation.
+    Far tails underflow to 0.  ``p`` may be 0 or 1.
+    """
+    if m > MAX_TRIALS:
+        raise BudgetExceededError(f"{m} trials exceed the budget of {MAX_TRIALS}")
+    if p == 0.0 or p == 1.0:
+        probs = np.zeros(m + 1)
+        probs[m if p == 1.0 else 0] = 1.0
+        return probs
+    odds = p / (1.0 - p)
+    mode = min(int((m + 1) * p), m)
+    i = np.arange(m + 1, dtype=np.float64)
+    # probs[i + 1] / probs[i] = odds * (m - i) / (i + 1), taken upward from the
+    # mode, and its reciprocal taken downward.
+    up = np.cumprod(odds * (m - i[mode:m]) / (i[mode:m] + 1.0))
+    down = np.cumprod(i[mode:0:-1] / (odds * (m - i[mode:0:-1] + 1.0)))
+    probs = np.concatenate((down[::-1], [1.0], up))
+    return probs / probs.sum()

@@ -5,7 +5,7 @@ action can have on another player's expected payoff across all n-player
 k-action anonymous games once every action is delta-perturbed.  For three
 or more actions it equals ``(1 - delta)`` times a passage probability of a
 lazy walk; for two actions it is driven by the split Bernoulli maximum of
-:mod:`lipgames.poisson_binomial`, exactly for all n, with a closed walk
+:mod:`lipgames.poisson_binomial`, exactly for all n, with an O(n) closed
 formula at even n and a bracket from the adjacent even values at odd n.
 """
 
@@ -109,17 +109,17 @@ def lipschitz_two_action(n: int, delta: float) -> LambdaResult:
 
 
 def lipschitz_two_action_even(n: int, delta: float) -> float:
-    """Exact two-action constant at even n via the walk point formula.
+    """Exact two-action constant at even n via the binomial collision formula.
 
-    ``(1 - delta) * P(walk with rate delta*(1 - delta/2) is at 0 after
-    n/2 - 1 steps)``; agrees with :func:`lipschitz_two_action` and costs
-    O(n^2).
+    ``(1 - delta) * P(two i.i.d. Binomial(n/2 - 1, delta/2) draws coincide)``,
+    which equals the walk with rate ``delta*(1 - delta/2)`` sitting at 0
+    after ``n/2 - 1`` steps; agrees with :func:`lipschitz_two_action` and
+    costs O(n).
     """
     _check_args(n, 2, delta)
     if n % 2:
         raise ValueError(f"player count must be even, got {n}")
-    rate = delta * (1.0 - 0.5 * delta)
-    return (1.0 - delta) * rw.point_prob(n // 2 - 1, rate, 0)
+    return (1.0 - delta) * pb.binomial_collision_prob(n // 2 - 1, delta)
 
 
 def two_action_odd_bracket(n: int, delta: float) -> tuple[float, float]:

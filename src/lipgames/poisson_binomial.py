@@ -14,13 +14,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import IntegrityError
-from .integer_pmf import IntegerPmf
+from .integer_pmf import IntegerPmf, binomial_probs
 
 #: Tolerance for agreement between redundant computations of the same value.
 DUAL_ROUTE_TOL = 1e-12
+
+#: Split maxima within this distance of the largest count as ties.  At odd
+#: ``n`` the splits ``l`` and ``n - l`` tie exactly (one sum is ``n`` minus
+#: the other), and rounding alone would otherwise pick the reported witness.
+TIE_TOL = 1e-12
 
 
 def _check_terms(probs, signs):
@@ -143,35 +147,33 @@ def two_block_max_prob(n: int, delta: float) -> TwoBlockMax:
     For a split ``l``, the first ``l`` of ``n`` i.i.d. Bernoulli(delta/2)
     terms are counted as successes and the remaining ``n - l`` as failures,
     so the sum is Binomial(l, delta/2) + Binomial(n - l, 1 - delta/2) on
-    {0..n}.  The maximum runs over every split and every outcome.  Ties
-    resolve to the larger split, then to the smaller outcome.  ``n = 0``
-    gives probability 1 at outcome 0.
+    {0..n}.  The maximum runs over every split and every outcome.  Values
+    within ``TIE_TOL`` of the maximum count as ties, which resolve to the
+    larger split, then to the smaller outcome; ``value`` is the maximum
+    itself.  ``n = 0`` gives probability 1 at outcome 0.
     """
     _check_count_delta(n, delta)
     q = 0.5 * delta
     successes = _bernoulli_sum_pmfs(n, q)
     failures = _bernoulli_sum_pmfs(n, 1.0 - q)
-    best_value = -1.0
-    best_split = -1
-    best_point = -1
-    for split in range(n, -1, -1):
-        pmf = np.convolve(successes[split], failures[n - split])
-        point = int(np.argmax(pmf))
-        value = float(pmf[point])
-        if value > best_value:
-            best_value = value
-            best_split = split
-            best_point = point
-    return TwoBlockMax(best_value, best_split, best_point)
+    pmfs = [np.convolve(successes[split], failures[n - split]) for split in range(n + 1)]
+    peaks = np.array([pmf.max() for pmf in pmfs])
+    best = float(peaks.max())
+    split = n - int(np.argmax(peaks[::-1] >= best - TIE_TOL))
+    pmf = pmfs[split]
+    point = int(np.argmax(pmf >= pmf.max() - TIE_TOL))
+    return TwoBlockMax(best, split, point)
 
 
 def binomial_collision_prob(n: int, delta: float) -> float:
     """Probability that two independent Binomial(n, delta/2) draws coincide.
 
-    Equals the sum of squared binomial point probabilities, and also the
-    probability that a lazy walk with rate ``delta * (1 - delta/2)`` sits at
-    the origin after ``n`` steps; the walk identity is exercised in tests.
+    Equals the sum of squared binomial point probabilities, an O(n) sum, and
+    also the probability that a lazy walk with rate ``delta * (1 - delta/2)``
+    sits at the origin after ``n`` steps; the walk identity is exercised in
+    tests.  Counts above :data:`~lipgames.integer_pmf.MAX_TRIALS` raise
+    :class:`~lipgames.errors.BudgetExceededError`.
     """
     _check_count_delta(n, delta)
-    pmf = stats.binom.pmf(np.arange(n + 1), n, 0.5 * delta)
+    pmf = binomial_probs(n, 0.5 * delta)
     return float(np.dot(pmf, pmf))

@@ -2,15 +2,18 @@
 
 The walk starts at 0 and at each step stays put with probability ``1 - r``
 and moves +1 or -1 with probability ``r/2`` each, for a rate ``r`` in
-``(0, 1]``.  All quantities are computed by exact dynamic programming over
-the full support; nothing is sampled or truncated.
+``(0, 1]``.  The passage probability behind the Lipschitz constants is an
+O(n) sum over the number of non-lazy moves; the full law, the point
+probabilities and the barrier probability are O(n^2) dynamic programs over
+the whole support, kept as independent cross-checks.  Nothing is sampled or
+truncated.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .integer_pmf import IntegerPmf
+from .integer_pmf import IntegerPmf, binomial_probs
 
 
 def _check_params(n: int, r: float) -> None:
@@ -57,9 +60,21 @@ def passage_prob(n: int, r: float) -> float:
     stays strictly below 1 for all of the first ``n`` steps; the library
     computes that second quantity independently in :func:`stay_below_prob`
     and tests their agreement.
+
+    Computed in O(n) by conditioning on the number ``j`` of non-lazy moves,
+    which is Binomial(n, r): given ``j``, the walk is a simple walk after
+    ``j`` steps, which sits in {0, 1} with probability
+    ``C(j, floor(j/2)) / 2^j``.  That factor is a running product gaining
+    ``(j + 1) / (j + 2)`` after each even ``j``.  Step counts above
+    :data:`~lipgames.integer_pmf.MAX_TRIALS` raise
+    :class:`~lipgames.errors.BudgetExceededError`.
     """
-    pmf = walk_pmf(n, r)
-    return pmf.prob(0) + pmf.prob(1)
+    _check_params(n, r)
+    moves = binomial_probs(n, r)
+    j = np.arange(n, dtype=np.float64)
+    factors = np.where(j % 2 == 0, (j + 1.0) / (j + 2.0), 1.0)
+    in_01 = np.concatenate(([1.0], np.cumprod(factors)))
+    return float(np.dot(moves, in_01))
 
 
 def stay_below_prob(n: int, r: float) -> float:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +89,31 @@ def test_oracle_budget_exit_code(capsys):
     )
     assert code == 2
     assert err.startswith("error: BudgetExceededError:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("lambda", "--n", "1000000000", "--k", "3", "--delta", "0.5"),
+        ("lambda", "--n", "1000000000", "--k", "2", "--delta", "0.5"),
+        ("lambda", "--n", "1000000001", "--k", "2", "--delta", "0.5"),
+        ("delta-star", "--n", "1000000000", "--k", "4"),
+    ],
+)
+def test_formula_step_budget_exit_code(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: BudgetExceededError:")
+    assert "\n" not in err.strip()
+
+
+def test_import_leaves_scipy_out():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, lipgames, lipgames.cli; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_sweep_csv_schema_and_single_cell(tmp_path, capsys):

@@ -133,6 +133,34 @@ def test_two_block_matches_exhaustive(n, delta):
     assert (result.split, result.point) in argmax
 
 
+def test_two_block_mirror_tie_goes_to_larger_split():
+    # splits 5 and 64 attain the same maximum; rounding puts 5 one ulp higher
+    result = two_block_max_prob(69, 0.95)
+    assert result.split == 64
+
+
+def _split_peaks(n, delta):
+    """Largest point probability of every split, from math.comb pmfs."""
+    q = 0.5 * delta
+
+    def binom(size, p):
+        return np.array([math.comb(size, i) * p**i * (1 - p) ** (size - i) for i in range(size + 1)])
+
+    return np.array([np.convolve(binom(l, q), binom(n - l, 1 - q)).max() for l in range(n + 1)])
+
+
+@pytest.mark.parametrize("delta", (0.1, 0.5, 0.95))
+def test_two_block_reports_largest_tied_split(delta):
+    for n in range(1, 81, 2):
+        result = two_block_max_prob(n, delta)
+        peaks = _split_peaks(n, delta)
+        tied = np.flatnonzero(peaks >= peaks.max() - 1e-12)
+        assert result.split == tied.max()
+        # at odd n the mirror split n - l ties with l, so the larger one wins
+        assert result.split > n / 2
+        assert n - result.split in tied
+
+
 def test_collision_examples():
     assert binomial_collision_prob(0, 0.5) == 1.0
     assert binomial_collision_prob(1, 0.5) == pytest.approx(0.625, abs=1e-15)
