@@ -167,11 +167,19 @@ def mirrored_action_counts(
         for step in range(n):
             chi = rng.random(size) < delta
             u = rng.integers(0, k, size)
-            mirrored = np.where(~met & (u < 2), 1 - u, u)
-            actions = np.where(chi, mirrored, baseline)
-            table[step] += np.bincount(actions, minlength=k)
-            active = chi & ~met
-            gap += (active & (u == 1)).astype(np.int32)
-            gap -= (active & (u == 0)).astype(np.int32)
+            # Tally the unmirrored perturbed draws, then move the live
+            # chains' draws on 0 and 1 across, as the mirror does.
+            drawn = [chi & (u == j) for j in range(k)]
+            row = table[step]
+            row += [np.count_nonzero(d) for d in drawn]
+            row[baseline] += size - np.count_nonzero(chi)
+            alive = ~met
+            down = drawn[0] & alive
+            up = drawn[1] & alive
+            moved = np.count_nonzero(up) - np.count_nonzero(down)
+            row[0] += moved
+            row[1] -= moved
+            gap += up.astype(np.int32)
+            gap -= down.astype(np.int32)
             met |= gap == 1
     return table

@@ -83,23 +83,35 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must lie in [0, 1), got {delta!r}")
 
 
-def _declared_values(game: AnonymousGame, profile, player: int, delta: float) -> np.ndarray:
-    """Expected payoff of declaring each pure action, own perturbation included.
+def _declared_values(
+    game: AnonymousGame, profile, player: int, delta: float, memo: dict
+) -> tuple[np.ndarray, np.ndarray]:
+    """Expected payoff of each action against the perturbed opponents.
 
-    The opponents keep their (perturbed) profile; entry b is the payoff of
-    announcing b, i.e. playing b with probability 1 - delta and a uniform
-    action otherwise.
+    Returns ``(base, declared)``: ``base[b]`` is the payoff of playing b
+    outright, and ``declared[b]`` that of announcing b, i.e. playing b with
+    probability 1 - delta and a uniform action otherwise.  The opponents'
+    law depends only on their count vector, so ``memo`` maps their sorted
+    actions to its probabilities (to its rank when delta = 0) across calls
+    with the same game and delta.
     """
     others = profile[:player] + profile[player + 1 :]
+    key = tuple(sorted(others))
+    law = memo.get(key)
+    if law is None:
+        if delta == 0.0:
+            counts = [0] * game.k
+            for a in others:
+                counts[a] += 1
+            law = count_vector_rank(counts)
+        else:
+            law = count_distribution(key, game.k, delta).probs
+        memo[key] = law
     if delta == 0.0:
-        counts = [0] * game.k
-        for a in others:
-            counts[a] += 1
-        rank = count_vector_rank(counts)
-        return game.payoffs[player, :, rank].copy()
-    dist = count_distribution(others, game.k, delta)
-    base = game.payoffs[player] @ dist.probs
-    return (1.0 - delta) * base + (delta / game.k) * base.sum()
+        base = game.payoffs[player, :, law]
+        return base, base
+    base = game.payoffs[player] @ law
+    return base, (1.0 - delta) * base + (delta / game.k) * base.sum()
 
 
 def perturbed_payoff(game: AnonymousGame, profile: Sequence[int], player: int, delta: float) -> float:
@@ -108,7 +120,7 @@ def perturbed_payoff(game: AnonymousGame, profile: Sequence[int], player: int, d
     _check_delta(delta)
     if not 0 <= player < game.n:
         raise ValueError(f"player must lie in 0..{game.n - 1}, got {player!r}")
-    return float(_declared_values(game, profile, player, delta)[profile[player]])
+    return float(_declared_values(game, profile, player, delta, {})[1][profile[player]])
 
 
 def payoff(game: AnonymousGame, profile: Sequence[int], player: int) -> float:
@@ -125,10 +137,14 @@ def regret(game: AnonymousGame, profile: Sequence[int], delta: float) -> RegretR
     """
     profile = _check_profile(game, profile)
     _check_delta(delta)
+    return _regret(game, profile, delta, {})
+
+
+def _regret(game: AnonymousGame, profile: tuple[int, ...], delta: float, memo: dict) -> RegretReport:
     per_player = []
     worst = 0.0
     for i in range(game.n):
-        values = _declared_values(game, profile, i, delta)
+        values = _declared_values(game, profile, i, delta, memo)[1]
         best = int(np.argmax(values))
         gain = float(values[best] - values[profile[i]])
         per_player.append((best, gain))
@@ -146,18 +162,11 @@ def regret_in_unperturbed(game: AnonymousGame, profile: Sequence[int], delta: fl
     """
     profile = _check_profile(game, profile)
     _check_delta(delta)
+    memo: dict = {}
     worst = 0.0
     for i in range(game.n):
-        others = profile[:i] + profile[i + 1 :]
-        if delta == 0.0:
-            counts = [0] * game.k
-            for a in others:
-                counts[a] += 1
-            base = game.payoffs[i, :, count_vector_rank(counts)]
-        else:
-            base = game.payoffs[i] @ count_distribution(others, game.k, delta).probs
-        current = (1.0 - delta) * base[profile[i]] + (delta / game.k) * base.sum()
-        worst = max(worst, float(base.max() - current))
+        base, declared = _declared_values(game, profile, i, delta, memo)
+        worst = max(worst, float(base.max() - declared[profile[i]]))
     return worst
 
 
@@ -182,15 +191,16 @@ def find_eps_nash(
         raise BudgetExceededError(
             f"{total} profiles exceed the scan budget of {profile_budget}"
         )
+    memo: dict = {}
     for profile in itertools.product(range(game.k), repeat=game.n):
         admissible = True
         for i in range(game.n):
-            values = _declared_values(game, profile, i, delta)
+            values = _declared_values(game, profile, i, delta, memo)[1]
             if float(values.max() - values[profile[i]]) > eps:
                 admissible = False
                 break
         if admissible:
-            return SearchResult(profile, regret(game, profile, delta))
+            return SearchResult(profile, _regret(game, profile, delta, memo))
     return None
 
 

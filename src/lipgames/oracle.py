@@ -133,6 +133,23 @@ class CountDistribution:
         return float(self.probs[count_vector_rank(counts)])
 
 
+def _fold(probs: np.ndarray, t: int, law: np.ndarray, k: int) -> np.ndarray:
+    """Occupancy law of ``t + 1`` players from that of the first ``t`` and the next player's law.
+
+    The scatter order over actions is fixed, so equal inputs give
+    bit-identical outputs whichever caller folds them.
+    """
+    maps = _add_action_maps(t, k)
+    nxt = np.zeros(math.comb(t + k, k - 1))
+    for j in range(k):
+        nxt[maps[j]] += law[j] * probs
+    return nxt
+
+
+def _action_laws(k: int, delta: float) -> list[np.ndarray]:
+    return [perturbed_action_law(j, k, delta) for j in range(k)]
+
+
 def count_distribution(profile: Sequence[int], k: int, delta: float) -> CountDistribution:
     """Law of the occupancy vector of a delta-perturbed pure profile.
 
@@ -145,15 +162,20 @@ def count_distribution(profile: Sequence[int], k: int, delta: float) -> CountDis
     actions = sorted(int(a) for a in profile)
     if any(not 0 <= a < k for a in actions):
         raise ValueError(f"profile actions must lie in 0..{k - 1}")
+    laws = _action_laws(k, delta)
     probs = np.array([1.0])
     for t, action in enumerate(actions):
-        law = perturbed_action_law(action, k, delta)
-        maps = _add_action_maps(t, k)
-        nxt = np.zeros(math.comb(t + k, k - 1))
-        for j in range(k):
-            nxt[maps[j]] += law[j] * probs
-        probs = nxt
+        probs = _fold(probs, t, laws[action], k)
     return CountDistribution(len(actions), k, probs)
+
+
+def _shift_tv(probs: np.ndarray, m: int, k: int, j1: int, j2: int) -> float:
+    """TV distance between the law ``probs`` of m players plus one on j1 vs on j2."""
+    maps = _add_action_maps(m, k)
+    diff = np.zeros(math.comb(m + k, k - 1))
+    diff[maps[j1]] = probs
+    diff[maps[j2]] -= probs
+    return 0.5 * float(np.abs(diff).sum())
 
 
 def shifted_tv(dist: CountDistribution, j1: int, j2: int) -> float:
@@ -163,13 +185,7 @@ def shifted_tv(dist: CountDistribution, j1: int, j2: int) -> float:
             raise ValueError(f"action must lie in 0..{dist.k - 1}, got {j!r}")
     if j1 == j2:
         return 0.0
-    maps = _add_action_maps(dist.m, dist.k)
-    size = math.comb(dist.m + dist.k, dist.k - 1)
-    first = np.zeros(size)
-    second = np.zeros(size)
-    first[maps[j1]] = dist.probs
-    second[maps[j2]] = dist.probs
-    return 0.5 * float(np.abs(first - second).sum())
+    return _shift_tv(dist.probs, dist.m, dist.k, j1, j2)
 
 
 class OracleResult(NamedTuple):
@@ -189,6 +205,11 @@ def lipschitz_oracle(
     is the lexicographically smallest class within 1e-12 of the maximum, so
     exact ties are not decided by rounding noise.  Instances whose
     ``classes x states`` product exceeds ``cell_budget`` are refused.
+
+    Each class's law is folded in the same player order as
+    :func:`count_distribution`, so its value is bit-identical to building
+    the law from scratch, but classes that share a prefix of counts share
+    the folds of that prefix: ``C(n - 2 + k, k)`` fold steps in all.
     """
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
         raise ValueError(f"player count must be an integer >= 2, got {n!r}")
@@ -200,11 +221,25 @@ def lipschitz_oracle(
         raise BudgetExceededError(
             f"oracle instance needs {cells} cells, over the budget of {cell_budget}"
         )
-    classes = count_vectors(m, k)
-    values = np.empty(len(classes))
-    for idx, counts in enumerate(classes):
-        profile = [j for j, c in enumerate(counts) for _ in range(c)]
-        values[idx] = shifted_tv(count_distribution(profile, k, delta), 0, 1)
+    laws = _action_laws(k, delta)
+    tvs = []
+
+    # Depth-first over the composition tree in lexicographic class order:
+    # classes sharing the counts of actions 0..j share the law after those
+    # players, so each tree edge is one fold and no class starts from scratch.
+    def descend(probs: np.ndarray, folded: int, action: int) -> None:
+        if action == k - 1:
+            for t in range(folded, m):
+                probs = _fold(probs, t, laws[action], k)
+            tvs.append(_shift_tv(probs, m, k, 0, 1))
+            return
+        for t in range(folded, m + 1):
+            descend(probs, t, action + 1)
+            if t < m:
+                probs = _fold(probs, t, laws[action], k)
+
+    descend(np.array([1.0]), 0, 0)
+    values = np.array(tvs)
     best = float(values.max())
-    witness = classes[int(np.argmax(values >= best - 1e-12))]
+    witness = count_vectors(m, k)[int(np.argmax(values >= best - 1e-12))]
     return OracleResult((1.0 - delta) * best, witness)

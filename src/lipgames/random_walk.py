@@ -5,15 +5,20 @@ and moves +1 or -1 with probability ``r/2`` each, for a rate ``r`` in
 ``(0, 1]``.  The passage probability behind the Lipschitz constants is an
 O(n) sum over the number of non-lazy moves; the full law, the point
 probabilities and the barrier probability are O(n^2) dynamic programs over
-the whole support, kept as independent cross-checks.  Nothing is sampled or
-truncated.
+the whole support, kept as independent cross-checks and refused above
+:data:`MAX_DP_STEPS` steps.  Nothing is sampled or truncated.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import BudgetExceededError
 from .integer_pmf import IntegerPmf, binomial_probs
+
+#: Largest step count the O(n^2) dynamic programs accept; 2**14 steps take
+#: about 0.7 s, so the limit costs seconds, not minutes.
+MAX_DP_STEPS = 2**15
 
 
 def _check_params(n: int, r: float) -> None:
@@ -25,14 +30,21 @@ def _check_params(n: int, r: float) -> None:
         raise ValueError(f"rate must lie in (0, 1], got {r!r}")
 
 
+def _check_dp_params(n: int, r: float) -> None:
+    _check_params(n, r)
+    if n > MAX_DP_STEPS:
+        raise BudgetExceededError(f"{n} walk steps exceed the dynamic-program budget of {MAX_DP_STEPS}")
+
+
 def walk_pmf(n: int, r: float) -> IntegerPmf:
     """Law of the walk position after ``n`` steps.
 
     The support is ``[-n, n]`` and the pmf is symmetric about 0 entry by
     entry: the update adds the two outer neighbours together before scaling,
-    so mirrored positions see bitwise-identical arithmetic.
+    so mirrored positions see bitwise-identical arithmetic.  Step counts
+    above :data:`MAX_DP_STEPS` raise :class:`~lipgames.errors.BudgetExceededError`.
     """
-    _check_params(n, r)
+    _check_dp_params(n, r)
     hold = 1.0 - r
     half = 0.5 * r
     probs = np.array([1.0])
@@ -82,9 +94,10 @@ def stay_below_prob(n: int, r: float) -> float:
 
     Computed with an absorbing barrier at +1: mass that would step onto +1
     is removed, and the survivor mass after ``n`` steps is returned.  The
-    recursion shares no code with :func:`walk_pmf`.
+    recursion shares no code with :func:`walk_pmf`.  Step counts above
+    :data:`MAX_DP_STEPS` raise :class:`~lipgames.errors.BudgetExceededError`.
     """
-    _check_params(n, r)
+    _check_dp_params(n, r)
     hold = 1.0 - r
     half = 0.5 * r
     # alive[i] = P(not yet absorbed, position i - n); positions -n..0.

@@ -10,6 +10,7 @@ from lipgames import (
     simulate_coupling,
     simulate_meet_time,
 )
+from lipgames.coupling import BLOCK_SIZE, _block_rng, _block_sizes
 
 
 def test_no_steps_means_never_met():
@@ -93,6 +94,37 @@ def test_mirrored_marginals_with_custom_baseline():
     for j in range(4):
         sigma = math.sqrt(law[j] * (1 - law[j]) / 80_000)
         assert abs(counts[0, j] / 80_000 - law[j]) <= 4 * sigma
+
+
+def _mirrored_counts_by_bincount(n, k, delta, samples, seed, baseline):
+    """The mirrored tally built from the realised actions, one bincount per step."""
+    table = np.zeros((n, k), dtype=np.int64)
+    for block, size in enumerate(_block_sizes(samples)):
+        rng = _block_rng(seed, block)
+        met = np.zeros(size, dtype=bool)
+        gap = np.zeros(size, dtype=np.int32)
+        for step in range(n):
+            chi = rng.random(size) < delta
+            u = rng.integers(0, k, size)
+            mirrored = np.where(~met & (u < 2), 1 - u, u)
+            actions = np.where(chi, mirrored, baseline)
+            table[step] += np.bincount(actions, minlength=k)
+            active = chi & ~met
+            gap += (active & (u == 1)).astype(np.int32)
+            gap -= (active & (u == 0)).astype(np.int32)
+            met |= gap == 1
+    return table
+
+
+@pytest.mark.parametrize("k", (2, 3, 4, 5))
+def test_mirrored_counts_match_bincount_tally_bitwise(k):
+    samples = BLOCK_SIZE + 4321  # a full block and a partial one
+    for baseline in range(min(k, 3)):
+        for delta in (0.2, 0.85):
+            args = (7, k, delta, samples, 1000 + 10 * k + baseline, baseline)
+            counts = mirrored_action_counts(*args)
+            assert counts.dtype == np.int64
+            assert np.array_equal(counts, _mirrored_counts_by_bincount(*args))
 
 
 def test_parameter_validation():

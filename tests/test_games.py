@@ -191,3 +191,69 @@ def test_parse_game_diagnostics():
     }
     game = parse_game(doc)
     assert game.payoffs[1, 1, 0] == 0.7
+
+
+def _first_eps_nash_by_enumeration(game, delta, eps):
+    """First profile whose enumerated perturbed regrets are all <= eps, with its regret."""
+    for profile in itertools.product(range(game.k), repeat=game.n):
+        worst = 0.0
+        for i in range(game.n):
+            values = [
+                brute.perturbed_payoff(game, profile[:i] + (b,) + profile[i + 1 :], i, delta)
+                for b in range(game.k)
+            ]
+            worst = max(worst, max(values) - values[profile[i]])
+        if worst <= eps:
+            return profile, worst
+    return None
+
+
+def _max_regrets(game, delta):
+    return {p: regret(game, p, delta).max_regret for p in itertools.product(range(game.k), repeat=game.n)}
+
+
+def _check_scan_against_enumeration(game, delta, eps):
+    found = find_eps_nash(game, delta, eps)
+    expected = _first_eps_nash_by_enumeration(game, delta, eps)
+    if expected is None:
+        assert found is None
+    else:
+        assert found.profile == expected[0]
+        assert found.report.max_regret == pytest.approx(expected[1], abs=1e-12)
+    return found
+
+
+@pytest.mark.parametrize("n,k,seed", [(3, 2, 1), (4, 2, 2), (3, 3, 3)])
+@pytest.mark.parametrize("delta", (0.0, 0.35))
+def test_find_eps_nash_matches_enumeration(n, k, seed, delta):
+    game = random_game(n, k, seed=seed)
+    levels = sorted(set(_max_regrets(game, delta).values()))
+    # eps halfway between the two smallest regret levels admits exactly the
+    # profiles at the smallest level
+    found = _check_scan_against_enumeration(game, delta, (levels[0] + levels[1]) / 2)
+    assert found.report.max_regret == levels[0]
+
+
+@pytest.mark.parametrize("delta", (0.0, 0.35))
+def test_find_eps_nash_none_matches_enumeration(delta):
+    game = party_game(3, ["even", "odd", "even"])
+    floor = min(_max_regrets(game, delta).values())
+    assert floor > 0.0
+    assert _check_scan_against_enumeration(game, delta, floor / 2) is None
+    assert _check_scan_against_enumeration(game, delta, floor * 1.5) is not None
+
+
+def test_find_eps_nash_tie_goes_to_first_profile():
+    # identical payoff tables make every permutation of a profile tie
+    # exactly, so the scan must return the lexicographically first one
+    base = random_game(4, 2, seed=11).payoffs[0]
+    game = AnonymousGame(4, 2, np.stack([base] * 4))
+    delta = 0.25
+    regrets = _max_regrets(game, delta)
+    eps = min(regrets.values())
+    tied = sorted(p for p, r in regrets.items() if r == eps)
+    assert len(tied) >= 2
+    assert all(abs(r - eps) > 1e-9 for p, r in regrets.items() if p not in tied)
+    found = find_eps_nash(game, delta, eps)
+    assert found.profile == tied[0]
+    assert found.profile == _first_eps_nash_by_enumeration(game, delta, eps + 1e-9)[0]

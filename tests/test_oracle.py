@@ -1,5 +1,6 @@
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,3 +164,70 @@ def test_oracle_rejects_bad_arguments():
         lipschitz_oracle(4, 3, 1.0)
     with pytest.raises(ValueError):
         count_distribution([0, 3], 3, 0.5)
+
+
+def _oracle_by_class(n, k, delta):
+    """The oracle as one fresh occupancy law and shifted TV per count class."""
+    classes = count_vectors(n - 2, k)
+    values = np.array(
+        [
+            shifted_tv(count_distribution([j for j, c in enumerate(counts) for _ in range(c)], k, delta), 0, 1)
+            for counts in classes
+        ]
+    )
+    best = float(values.max())
+    ties = np.flatnonzero(values >= best - 1e-12)
+    return (1.0 - delta) * best, classes[int(ties[0])], len(ties)
+
+
+@pytest.mark.parametrize("k", (2, 3, 4, 5))
+@pytest.mark.parametrize("delta", (0.1, 0.5, 0.85))
+def test_oracle_matches_per_class_loop_bitwise(k, delta):
+    for n in range(2, 13):
+        value, witness, _ = _oracle_by_class(n, k, delta)
+        result = lipschitz_oracle(n, k, delta)
+        assert result.value == value
+        assert result.worst_class == witness
+
+
+def test_oracle_tie_goes_to_first_class():
+    # actions 2 and 3 are interchangeable, so the all-on-one-spare-action
+    # classes tie and the lexicographically first of them is the witness
+    value, witness, ties = _oracle_by_class(7, 4, 0.5)
+    assert ties >= 2
+    assert witness == (0, 0, 0, 5)
+    assert lipschitz_oracle(7, 4, 0.5) == (value, witness)
+
+
+def _package_imports(module: str) -> set:
+    """Modules of the package reachable from ``module`` through its imports."""
+    import ast
+    import importlib.util
+
+    seen, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        tree = ast.parse(Path(importlib.util.find_spec(name).origin).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                base = name.rsplit(".", node.level)[0]
+                targets = [f"{base}.{node.module}"] if node.module else [f"{base}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                targets = [node.module]
+            elif isinstance(node, ast.Import):
+                targets = [a.name for a in node.names]
+            else:
+                continue
+            # importing the package itself runs its __init__, which imports every module
+            todo += [t for t in targets if t == "lipgames" or t.startswith("lipgames.")]
+    return seen
+
+
+def test_oracle_shares_no_code_with_the_closed_forms():
+    reached = _package_imports("lipgames.oracle")
+    assert "lipgames.errors" in reached  # the walk does follow imports
+    for module in ("random_walk", "poisson_binomial", "integer_pmf", "lipschitz"):
+        assert f"lipgames.{module}" not in reached

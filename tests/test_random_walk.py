@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lipgames import passage_prob, point_prob, stay_below_prob, walk_pmf
+from lipgames import BudgetExceededError, passage_prob, point_prob, stay_below_prob, walk_pmf
+from lipgames import random_walk
+from lipgames.random_walk import MAX_DP_STEPS
 
 import brute
 
@@ -115,6 +117,25 @@ def test_rejects_bad_step_count():
         walk_pmf(-1, 0.5)
     with pytest.raises(ValueError):
         walk_pmf(2.5, 0.5)
+
+
+@pytest.mark.parametrize(
+    "route", (walk_pmf, stay_below_prob, lambda n, r: point_prob(n, r, 0)), ids=("pmf", "stay", "point")
+)
+def test_dp_routes_refuse_steps_over_budget(route):
+    with pytest.raises(BudgetExceededError, match="dynamic-program budget"):
+        route(MAX_DP_STEPS + 1, 0.5)
+
+
+def test_dp_budget_accepts_its_limit():
+    # the refusal happens before any work, so the limit itself is checked
+    # on the shared guard rather than by running a 2**15-step DP
+    assert MAX_DP_STEPS == 2**15
+    random_walk._check_dp_params(MAX_DP_STEPS, 0.5)
+    with pytest.raises(BudgetExceededError):
+        random_walk._check_dp_params(MAX_DP_STEPS + 1, 0.5)
+    # the O(n) closed form is not bound by the DP budget
+    assert 0.0 < passage_prob(MAX_DP_STEPS + 1, 0.5) < 1.0
 
 
 @settings(max_examples=60, deadline=None)
