@@ -5,7 +5,8 @@ Commands: ``lambda``, ``sweep``, ``coupling``, ``meet-time``,
 with 15 significant digits and all randomness flows through explicit
 ``--seed`` flags, so repeated runs with the same arguments produce
 byte-identical output.  Errors exit nonzero with a one-line
-``error: <Type>: <message>`` on stderr.
+``error: <Type>: <message>`` on stderr: 2 for a refused budget or
+exhausted memory, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ def cmd_equilibrium(ns) -> int:
             "profile": list(found.profile),
             "max_regret": found.report.max_regret,
             "unperturbed_guarantee": ns.delta + found.report.max_regret,
-            "unperturbed_regret": gm.regret_in_unperturbed(game, found.profile, ns.delta),
+            "unperturbed_regret": found.report.unperturbed_regret,
         }
     )
     _emit(payload, ns.json)
@@ -358,9 +359,9 @@ def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
         return ns.func(ns)
-    except (ValueError, IntegrityError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, IntegrityError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, BudgetExceededError) else 1
+        return 2 if isinstance(exc, (BudgetExceededError, MemoryError)) else 1
 
 
 if __name__ == "__main__":

@@ -12,18 +12,41 @@ differ after n players equals the walk passage probability at rate
 Reproducibility contract: replications are processed in fixed blocks of
 ``BLOCK_SIZE``; block b draws from a PCG64 generator seeded with
 ``SeedSequence(seed, spawn_key=(b,))``, and draws inside a block follow a
-fixed step-major order.  Results are therefore bit-identical for a given
+fixed step-major order (per step, the block's uniforms, then its actions).
+Results are therefore bit-identical for a given
 ``(n, k, delta, samples, seed)`` no matter how blocks are scheduled.
+
+One private kernel walks a block's gap chains; the three public functions
+differ only in the per-step tally they hand it.  A request with more than
+one block runs them on the calling thread (even blocks) and, when the
+process may use two CPUs, one helper thread (odd blocks).  numpy releases
+the GIL inside generator fills and large ufunc loops, so the two overlap;
+the per-block results are combined in block order.  Requests above
+``MAX_REP_STEPS`` replication steps (samples times steps) are refused
+with :class:`~lipgames.errors.BudgetExceededError` before anything is
+allocated.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BudgetExceededError
+
 BLOCK_SIZE = 1 << 16
+#: Largest ``samples * max(n, 1)`` a request may ask for (tens of seconds).
+#: Fewer than ``_MIN_CHARGED`` samples are charged as that many: below it,
+#: a step's fixed cost in numpy calls outweighs its replications.
+MAX_REP_STEPS = 10**10
+_MIN_CHARGED = 1 << 12
+#: Uniforms drawn per generator call; one reused buffer keeps the working
+#: set of a block small without changing the stream (a double is one draw).
+_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -62,6 +85,11 @@ def _check_params(n, k, delta, samples, seed, baseline):
         raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
     if not isinstance(samples, (int, np.integer)) or samples < 1:
         raise ValueError(f"samples must be a positive integer, got {samples!r}")
+    if max(int(samples), _MIN_CHARGED) * max(int(n), 1) > MAX_REP_STEPS:
+        raise BudgetExceededError(
+            f"{samples} samples (charged as at least {_MIN_CHARGED}) of {n} steps exceed "
+            f"the budget of {MAX_REP_STEPS} replication steps"
+        )
     if baseline is None:
         baseline = 2 if k >= 3 else 0
     if not 0 <= baseline < k:
@@ -81,6 +109,93 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,))))
 
 
+def _walk_block(n: int, k: int, delta: float, seed: int, block: int, size: int, tally=None) -> int:
+    """Walk the gap chains of one block for n steps; return how many never met.
+
+    Before each step's gap update, ``tally(step, chi, u, alive, up, down)``
+    sees the step's perturbation flags and actions, the chains still apart
+    and the pre-meeting down and up moves.  The arrays are reused between
+    steps.  ``integers(..., dtype=np.int32)`` and chunked ``random(out=)``
+    draw the same values and leave the same generator state as the
+    default int64 draw and one full-size call (pinned by the tests).
+    """
+    rng = _block_rng(seed, block)
+    uniforms = np.empty(min(size, _CHUNK))
+    chi, active, up, down = (np.empty(size, dtype=bool) for _ in range(4))
+    alive = np.ones(size, dtype=bool)
+    # The gap starts at 0, stays <= 0 while the chains differ and freezes
+    # at 1 when they meet, so alive means gap < 1 and the gap fits in the
+    # smallest signed type holding -n.
+    gap = np.zeros(size, dtype=np.min_scalar_type(-max(n, 1)))
+    for step in range(n):
+        for lo in range(0, size, _CHUNK):
+            part = uniforms[: min(_CHUNK, size - lo)]
+            rng.random(out=part)
+            np.less(part, delta, out=chi[lo : lo + part.size])
+        u = rng.integers(0, k, size, dtype=np.int32)
+        np.logical_and(chi, alive, out=active)
+        np.equal(u, 1, out=up)
+        up &= active
+        np.equal(u, 0, out=down)
+        down &= active
+        if tally is not None:
+            tally(step, chi, u, alive, up, down)
+        gap += up
+        gap -= down
+        np.less(gap, 1, out=alive)
+    return int(np.count_nonzero(alive))
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_blocks(samples: int, run) -> list:
+    """``run(block, size)`` for every block of a request, in block order.
+
+    With more than one block and at least two usable CPUs, a helper thread
+    takes the odd blocks while the caller takes the even ones.  Whichever
+    side fails first stops the other after its current block, and an error
+    raised in the helper re-raises here.  The helper must reach only
+    private helpers and numpy: span tracers wrap the public functions and
+    expect them on the calling thread.
+    """
+    sizes = _block_sizes(samples)
+    if len(sizes) == 1 or _cpu_count() < 2:
+        return [run(block, size) for block, size in enumerate(sizes)]
+    results = [None] * len(sizes)
+    failed: list = []
+
+    def work(first: int) -> None:
+        for block in range(first, len(sizes), 2):
+            if failed:
+                return
+            results[block] = run(block, sizes[block])
+
+    def helper() -> None:
+        try:
+            work(1)
+        except BaseException as exc:
+            failed.append(exc)
+
+    thread = threading.Thread(target=helper, name="lipgames-coupling", daemon=True)
+    thread.start()
+    try:
+        work(0)
+    except BaseException:
+        failed.append(None)
+        raise
+    finally:
+        thread.join()
+    if failed:
+        raise failed[0]
+    return results
+
+
 def simulate_coupling(
     n: int, k: int, delta: float, samples: int, seed: int, baseline: int | None = None
 ) -> CouplingEstimate:
@@ -92,19 +207,10 @@ def simulate_coupling(
     k >= 3 and on action 0 for k = 2.  ``n = 0`` returns exactly 1.
     """
     n, k, delta, samples, seed, _ = _check_params(n, k, delta, samples, seed, baseline)
-    never = 0
-    for block, size in enumerate(_block_sizes(samples)):
-        rng = _block_rng(seed, block)
-        met = np.zeros(size, dtype=bool)
-        gap = np.zeros(size, dtype=np.int32)
-        for _ in range(n):
-            chi = rng.random(size) < delta
-            u = rng.integers(0, k, size)
-            active = chi & ~met
-            gap += (active & (u == 1)).astype(np.int32)
-            gap -= (active & (u == 0)).astype(np.int32)
-            met |= gap == 1
-        never += int((~met).sum())
+    def run(block, size):
+        return _walk_block(n, k, delta, seed, block, size)
+
+    never = sum(_map_blocks(samples, run))
     estimate = never / samples
     std_error = math.sqrt(estimate * (1.0 - estimate) / samples)
     return CouplingEstimate(estimate, std_error, samples, seed)
@@ -121,30 +227,26 @@ def simulate_meet_time(
     frequencies estimate ``(delta/k, 1 - 2*delta/k, delta/k)``.
     """
     n, k, delta, samples, seed, _ = _check_params(n, k, delta, samples, seed, baseline)
+
+    def run(block, size):
+        # tallies[s] chains are still apart before step s + 1 (s = n: they
+        # never met); the last two entries count the down and up moves.
+        tallies = np.zeros(n + 3, dtype=np.int64)
+
+        def tally(step, chi, u, alive, up, down):
+            tallies[step] = np.count_nonzero(alive)
+            tallies[n + 1] += np.count_nonzero(down)
+            tallies[n + 2] += np.count_nonzero(up)
+
+        tallies[n] = _walk_block(n, k, delta, seed, block, size, tally)
+        return tallies
+
+    tallies = sum(_map_blocks(samples, run))
+    apart, (down, up) = tallies[: n + 1], tallies[n + 1 :]
     counts = np.zeros(n + 2, dtype=np.int64)
-    transitions = np.zeros(3, dtype=np.int64)
-    for block, size in enumerate(_block_sizes(samples)):
-        rng = _block_rng(seed, block)
-        met = np.zeros(size, dtype=bool)
-        gap = np.zeros(size, dtype=np.int32)
-        for step in range(1, n + 1):
-            chi = rng.random(size) < delta
-            u = rng.integers(0, k, size)
-            alive = ~met
-            active = chi & alive
-            down = active & (u == 0)
-            up = active & (u == 1)
-            n_down = int(down.sum())
-            n_up = int(up.sum())
-            transitions[0] += n_down
-            transitions[1] += int(alive.sum()) - n_down - n_up
-            transitions[2] += n_up
-            gap += up.astype(np.int32)
-            gap -= down.astype(np.int32)
-            newly = alive & (gap == 1)
-            counts[step] += int(newly.sum())
-            met |= newly
-        counts[n + 1] += int((~met).sum())
+    counts[1 : n + 1] = -np.diff(apart)
+    counts[n + 1] = apart[n]
+    transitions = np.array([down, apart[:n].sum() - down - up, up], dtype=np.int64)
     return MeetTimeResult(counts, transitions, samples, seed)
 
 
@@ -159,27 +261,27 @@ def mirrored_action_counts(
     bijection on uniform draws, so mirroring never distorts the marginals.
     """
     n, k, delta, samples, seed, baseline = _check_params(n, k, delta, samples, seed, baseline)
-    table = np.zeros((n, k), dtype=np.int64)
-    for block, size in enumerate(_block_sizes(samples)):
-        rng = _block_rng(seed, block)
-        met = np.zeros(size, dtype=bool)
-        gap = np.zeros(size, dtype=np.int32)
-        for step in range(n):
-            chi = rng.random(size) < delta
-            u = rng.integers(0, k, size)
+
+    def run(block, size):
+        table = np.zeros((n, k), dtype=np.int64)
+        drawn = np.empty(size, dtype=bool)
+
+        def tally(step, chi, u, alive, up, down):
             # Tally the unmirrored perturbed draws, then move the live
             # chains' draws on 0 and 1 across, as the mirror does.
-            drawn = [chi & (u == j) for j in range(k)]
             row = table[step]
-            row += [np.count_nonzero(d) for d in drawn]
+            for j in range(k):
+                np.logical_and(np.equal(u, j, out=drawn), chi, out=drawn)
+                row[j] = np.count_nonzero(drawn)
             row[baseline] += size - np.count_nonzero(chi)
-            alive = ~met
-            down = drawn[0] & alive
-            up = drawn[1] & alive
             moved = np.count_nonzero(up) - np.count_nonzero(down)
             row[0] += moved
             row[1] -= moved
-            gap += up.astype(np.int32)
-            gap -= down.astype(np.int32)
-            met |= gap == 1
+
+        _walk_block(n, k, delta, seed, block, size, tally)
+        return table
+
+    table = np.zeros((n, k), dtype=np.int64)
+    for block_table in _map_blocks(samples, run):
+        table += block_table
     return table

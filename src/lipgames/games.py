@@ -58,10 +58,15 @@ class AnonymousGame:
 
 @dataclass(frozen=True)
 class RegretReport:
-    """Per-player best deviations and regrets for one profile."""
+    """Per-player best deviations and regrets for one profile.
+
+    ``unperturbed_regret`` is :func:`regret_in_unperturbed` of the profile,
+    read off the same opponent laws.
+    """
 
     max_regret: float
     per_player: tuple[tuple[int, float], ...]
+    unperturbed_regret: float
 
 
 class SearchResult(NamedTuple):
@@ -142,14 +147,15 @@ def regret(game: AnonymousGame, profile: Sequence[int], delta: float) -> RegretR
 
 def _regret(game: AnonymousGame, profile: tuple[int, ...], delta: float, memo: dict) -> RegretReport:
     per_player = []
-    worst = 0.0
+    worst = unperturbed = 0.0
     for i in range(game.n):
-        values = _declared_values(game, profile, i, delta, memo)[1]
+        base, values = _declared_values(game, profile, i, delta, memo)
         best = int(np.argmax(values))
         gain = float(values[best] - values[profile[i]])
         per_player.append((best, gain))
         worst = max(worst, gain)
-    return RegretReport(worst, tuple(per_player))
+        unperturbed = max(unperturbed, float(base.max() - values[profile[i]]))
+    return RegretReport(worst, tuple(per_player), unperturbed)
 
 
 def regret_in_unperturbed(game: AnonymousGame, profile: Sequence[int], delta: float) -> float:
@@ -162,12 +168,7 @@ def regret_in_unperturbed(game: AnonymousGame, profile: Sequence[int], delta: fl
     """
     profile = _check_profile(game, profile)
     _check_delta(delta)
-    memo: dict = {}
-    worst = 0.0
-    for i in range(game.n):
-        base, declared = _declared_values(game, profile, i, delta, memo)
-        worst = max(worst, float(base.max() - declared[profile[i]]))
-    return worst
+    return _regret(game, profile, delta, {}).unperturbed_regret
 
 
 def find_eps_nash(

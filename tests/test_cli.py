@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import subprocess
@@ -6,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+import lipgames.coupling
+import lipgames.games
 from lipgames import game_to_dict, random_game
 from lipgames.cli import main
 
@@ -106,6 +109,53 @@ def test_formula_step_budget_exit_code(capsys, argv):
     assert out == ""
     assert err.startswith("error: BudgetExceededError:")
     assert "\n" not in err.strip()
+
+
+@pytest.mark.parametrize("command", ("coupling", "meet-time"))
+@pytest.mark.parametrize("n,samples", [("3", "100000000000000"), ("10000000", "1")])
+def test_coupling_replication_budget_exit_code(capsys, command, n, samples):
+    code, out, err = run_cli(
+        capsys, command, "--n", n, "--k", "3", "--delta", "0.3", "--samples", samples
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: BudgetExceededError:")
+    assert "\n" not in err.strip()
+
+
+def test_memory_error_is_one_line_exit_2(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError("Unable to allocate 80.0 GiB")
+
+    monkeypatch.setattr(lipgames.coupling, "simulate_coupling", exhausted)
+    code, out, err = run_cli(capsys, "coupling", "--n", "3", "--k", "3", "--delta", "0.3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: MemoryError: Unable to allocate 80.0 GiB\n"
+
+
+def test_equilibrium_builds_each_opponent_law_once(tmp_path, capsys, monkeypatch):
+    builds = collections.Counter()
+    build = lipgames.games.count_distribution
+
+    def counted(profile, k, delta):
+        builds[tuple(sorted(profile)), k, delta] += 1
+        return build(profile, k, delta)
+
+    monkeypatch.setattr(lipgames.games, "count_distribution", counted)
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps(game_to_dict(random_game(5, 3, seed=8))))
+    code, out, _ = run_cli(capsys, "equilibrium", "--game", str(path), "--delta", "0.2", "--json")
+    assert code == 0 and json.loads(out)["found"]
+    assert builds and max(builds.values()) == 1
+
+
+def test_import_leaves_thread_pools_out():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, lipgames, lipgames.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"
 
 
 def test_import_leaves_scipy_out():

@@ -1,9 +1,12 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from lipgames import (
+    coupling,
     mirrored_action_counts,
     passage_prob,
     perturbed_action_law,
@@ -11,6 +14,7 @@ from lipgames import (
     simulate_meet_time,
 )
 from lipgames.coupling import BLOCK_SIZE, _block_rng, _block_sizes
+from lipgames.errors import BudgetExceededError
 
 
 def test_no_steps_means_never_met():
@@ -138,3 +142,209 @@ def test_parameter_validation():
         simulate_coupling(5, 3, 0.3, 0, seed=0)
     with pytest.raises(ValueError):
         simulate_coupling(5, 3, 0.3, 100, seed=0, baseline=3)
+
+
+# The three block loops the shared kernel replaced, kept as references.
+
+
+def _reference_never(n, k, delta, samples, seed):
+    never = 0
+    for block, size in enumerate(_block_sizes(samples)):
+        rng = _block_rng(seed, block)
+        met = np.zeros(size, dtype=bool)
+        gap = np.zeros(size, dtype=np.int32)
+        for _ in range(n):
+            chi = rng.random(size) < delta
+            u = rng.integers(0, k, size)
+            active = chi & ~met
+            gap += (active & (u == 1)).astype(np.int32)
+            gap -= (active & (u == 0)).astype(np.int32)
+            met |= gap == 1
+        never += int((~met).sum())
+    return never
+
+
+def _reference_meet_time(n, k, delta, samples, seed):
+    counts = np.zeros(n + 2, dtype=np.int64)
+    transitions = np.zeros(3, dtype=np.int64)
+    for block, size in enumerate(_block_sizes(samples)):
+        rng = _block_rng(seed, block)
+        met = np.zeros(size, dtype=bool)
+        gap = np.zeros(size, dtype=np.int32)
+        for step in range(1, n + 1):
+            chi = rng.random(size) < delta
+            u = rng.integers(0, k, size)
+            alive = ~met
+            active = chi & alive
+            down = active & (u == 0)
+            up = active & (u == 1)
+            n_down = int(down.sum())
+            n_up = int(up.sum())
+            transitions[0] += n_down
+            transitions[1] += int(alive.sum()) - n_down - n_up
+            transitions[2] += n_up
+            gap += up.astype(np.int32)
+            gap -= down.astype(np.int32)
+            newly = alive & (gap == 1)
+            counts[step] += int(newly.sum())
+            met |= newly
+        counts[n + 1] += int((~met).sum())
+    return counts, transitions
+
+
+def _reference_mirrored(n, k, delta, samples, seed, baseline):
+    table = np.zeros((n, k), dtype=np.int64)
+    for block, size in enumerate(_block_sizes(samples)):
+        rng = _block_rng(seed, block)
+        met = np.zeros(size, dtype=bool)
+        gap = np.zeros(size, dtype=np.int32)
+        for step in range(n):
+            chi = rng.random(size) < delta
+            u = rng.integers(0, k, size)
+            drawn = [chi & (u == j) for j in range(k)]
+            row = table[step]
+            row += [np.count_nonzero(d) for d in drawn]
+            row[baseline] += size - np.count_nonzero(chi)
+            alive = ~met
+            down = drawn[0] & alive
+            up = drawn[1] & alive
+            moved = np.count_nonzero(up) - np.count_nonzero(down)
+            row[0] += moved
+            row[1] -= moved
+            gap += up.astype(np.int32)
+            gap -= down.astype(np.int32)
+            met |= gap == 1
+    return table
+
+
+@pytest.mark.parametrize("samples", (1, BLOCK_SIZE, BLOCK_SIZE + 1, 3 * BLOCK_SIZE + 4321))
+@pytest.mark.parametrize("k", (2, 3, 4, 5))
+def test_kernel_matches_reference_block_loops_bitwise(k, samples):
+    for n in (0, 1, 21):
+        delta = (0.15, 0.5, 0.9)[n % 3]
+        seed = 7000 + 100 * k + n
+        est = simulate_coupling(n, k, delta, samples, seed)
+        never = _reference_never(n, k, delta, samples, seed)
+        expected = never / samples
+        assert est == coupling.CouplingEstimate(
+            expected, math.sqrt(expected * (1.0 - expected) / samples), samples, seed
+        )
+        res = simulate_meet_time(n, k, delta, samples, seed)
+        counts, transitions = _reference_meet_time(n, k, delta, samples, seed)
+        assert res.counts.dtype == np.int64 and res.transitions.dtype == np.int64
+        assert np.array_equal(res.counts, counts)
+        assert np.array_equal(res.transitions, transitions)
+        for baseline in range(k):
+            table = mirrored_action_counts(n, k, delta, samples, seed, baseline)
+            assert table.dtype == np.int64 and table.shape == (n, k)
+            assert np.array_equal(table, _reference_mirrored(n, k, delta, samples, seed, baseline))
+
+
+def test_results_do_not_depend_on_the_block_schedule(monkeypatch):
+    args = (13, 4, 0.6, 4 * BLOCK_SIZE + 17, 2024)
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(coupling, "_cpu_count", lambda: cpus)
+        meet = simulate_meet_time(*args)
+        runs.append((simulate_coupling(*args), meet.counts, meet.transitions,
+                     mirrored_action_counts(*args, baseline=3)))
+    (est1, *arrays1), (est2, *arrays2) = runs
+    assert est1 == est2
+    assert all(np.array_equal(a, b) for a, b in zip(arrays1, arrays2))
+
+
+@pytest.mark.parametrize("size", (1, 2, 8191, 8193, BLOCK_SIZE + 1))
+@pytest.mark.parametrize("k", (2, 3, 5, 7))
+def test_int32_action_draw_matches_default_int64_draw(k, size):
+    """The kernel draws actions as int32; numpy must keep that stream-identical."""
+    wide, narrow = _block_rng(31, k), _block_rng(31, k)
+    for _ in range(3):
+        a = wide.integers(0, k, size)
+        b = narrow.integers(0, k, size, dtype=np.int32)
+        assert a.dtype == np.int64 and b.dtype == np.int32
+        assert np.array_equal(a, b)
+        assert wide.bit_generator.state == narrow.bit_generator.state
+        # Uniforms skip a buffered half draw, so the next action draws
+        # must still agree.
+        wide.random(size)
+        narrow.random(size)
+
+
+@pytest.mark.parametrize("size", (1, 8191, 8192, 8193, BLOCK_SIZE - 5, BLOCK_SIZE))
+def test_chunked_uniform_draw_matches_one_call(size):
+    """The kernel fills uniforms in chunks into one buffer; the stream must not change."""
+    whole, chunked = _block_rng(5, size), _block_rng(5, size)
+    for _ in range(2):
+        expected = whole.random(size)
+        buffer = np.empty(coupling._CHUNK)
+        got = np.empty(size)
+        for lo in range(0, size, coupling._CHUNK):
+            part = buffer[: min(coupling._CHUNK, size - lo)]
+            chunked.random(out=part)
+            got[lo : lo + part.size] = part
+        assert np.array_equal(expected, got)
+        assert whole.bit_generator.state == chunked.bit_generator.state
+        whole.integers(0, 3, 3)  # an odd draw count leaves a buffered half
+        chunked.integers(0, 3, 3, dtype=np.int32)
+
+
+def test_helper_thread_error_reraises_in_caller(monkeypatch):
+    kernel = coupling._walk_block
+    threads = set()
+
+    def failing(n, k, delta, seed, block, size, tally=None):
+        if block == 1:
+            threads.add(threading.current_thread() is threading.main_thread())
+            raise RuntimeError("block 1 failed")
+        return kernel(n, k, delta, seed, block, size, tally)
+
+    monkeypatch.setattr(coupling, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(coupling, "_walk_block", failing)
+    for simulate in (simulate_coupling, simulate_meet_time, mirrored_action_counts):
+        with pytest.raises(RuntimeError, match="block 1 failed"):
+            simulate(5, 3, 0.4, 3 * BLOCK_SIZE, seed=1)
+    assert threads == {False}  # block 1 ran on the helper every time
+    assert all(t.name != "lipgames-coupling" for t in threading.enumerate())
+
+
+def test_block_order_holds_under_rapid_thread_switches(monkeypatch):
+    monkeypatch.setattr(coupling, "_cpu_count", lambda: 2)
+    samples = 150 * BLOCK_SIZE + 1
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            results = coupling._map_blocks(samples, lambda block, size: (block, size))
+            assert results == list(enumerate(_block_sizes(samples)))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_single_block_or_single_cpu_uses_no_helper(monkeypatch):
+    def no_thread(*args, **kwargs):
+        raise AssertionError("a helper thread was started")
+
+    monkeypatch.setattr(coupling, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(coupling.threading, "Thread", no_thread)
+    simulate_coupling(4, 3, 0.4, BLOCK_SIZE, seed=2)
+    monkeypatch.setattr(coupling, "_cpu_count", lambda: 1)
+    simulate_meet_time(4, 3, 0.4, 2 * BLOCK_SIZE + 1, seed=2)
+
+
+def test_replication_step_budget_is_checked_before_running(monkeypatch):
+    limit, floor = coupling.MAX_REP_STEPS, coupling._MIN_CHARGED
+    assert coupling._check_params(limit // 10**6, 3, 0.3, 10**6, 0, None)[3] == 10**6
+    for simulate in (simulate_coupling, simulate_meet_time, mirrored_action_counts):
+        with pytest.raises(BudgetExceededError):
+            simulate(10**6, 3, 0.3, limit // 10**6 + 1, seed=0)
+        with pytest.raises(BudgetExceededError):
+            simulate(0, 3, 0.3, limit + 1, seed=0)
+        with pytest.raises(BudgetExceededError):  # one sample is charged as the floor
+            simulate(limit // floor + 1, 3, 0.3, 1, seed=0)
+    monkeypatch.setattr(coupling, "MAX_REP_STEPS", 5 * floor)
+    assert simulate_meet_time(5, 3, 0.3, floor, seed=0).counts.sum() == floor
+    assert simulate_meet_time(5, 3, 0.3, 1, seed=0).counts.sum() == 1
+    with pytest.raises(BudgetExceededError):
+        simulate_meet_time(5, 3, 0.3, floor + 1, seed=0)
+    with pytest.raises(BudgetExceededError):
+        simulate_meet_time(6, 3, 0.3, 1, seed=0)

@@ -257,3 +257,35 @@ def test_find_eps_nash_tie_goes_to_first_profile():
     found = find_eps_nash(game, delta, eps)
     assert found.profile == tied[0]
     assert found.profile == _first_eps_nash_by_enumeration(game, delta, eps + 1e-9)[0]
+
+
+def _unperturbed_regret_by_enumeration(game, profile, delta):
+    """Largest gain of a pure outright action over the perturbed strategy, enumerated.
+
+    Announcing b pays D_b = (1 - delta) B_b + (delta / k) sum(B), so the
+    outright payoffs B_b follow from the enumerated D_b.
+    """
+    worst = 0.0
+    for i in range(game.n):
+        declared = [
+            brute.perturbed_payoff(game, profile[:i] + (b,) + profile[i + 1 :], i, delta)
+            for b in range(game.k)
+        ]
+        spread = delta / game.k * sum(declared)
+        outright = [(d - spread) / (1.0 - delta) for d in declared]
+        worst = max(worst, max(outright) - declared[profile[i]])
+    return worst
+
+
+@pytest.mark.parametrize("n,k,seed", [(3, 2, 1), (4, 2, 2), (3, 3, 3)])
+@pytest.mark.parametrize("delta", (0.0, 0.35))
+def test_report_carries_unperturbed_regret(n, k, seed, delta):
+    game = random_game(n, k, seed=seed)
+    found = find_eps_nash(game, delta, 1.0)
+    assert found.report.unperturbed_regret == regret_in_unperturbed(game, found.profile, delta)
+    for profile in itertools.islice(itertools.product(range(k), repeat=n), 0, None, 3):
+        report = regret(game, profile, delta)
+        assert report.unperturbed_regret == regret_in_unperturbed(game, profile, delta)
+        assert report.unperturbed_regret == pytest.approx(
+            _unperturbed_regret_by_enumeration(game, profile, delta), abs=1e-12
+        )
