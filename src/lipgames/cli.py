@@ -17,6 +17,7 @@ import sys
 
 import numpy as np
 
+from . import checks
 from . import coupling as cp
 from . import games as gm
 from . import lipschitz as lz
@@ -94,8 +95,7 @@ def _sweep_rows(ns):
     if not ns.delta:
         raise ValueError("sweep needs at least one --delta")
     for d in ns.delta:
-        if not 0.0 < d < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {d!r}")
+        checks.delta(d)
     for n in range(ns.n_start, ns.n_stop + 1, ns.n_step):
         for d in ns.delta:
             res = lz.lipschitz_constant(n, ns.k, d)

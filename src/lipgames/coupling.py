@@ -36,6 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import checks
 from .errors import BudgetExceededError
 
 BLOCK_SIZE = 1 << 16
@@ -77,24 +78,19 @@ class MeetTimeResult:
 
 
 def _check_params(n, k, delta, samples, seed, baseline):
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"step count must be a nonnegative integer, got {n!r}")
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 2:
-        raise ValueError(f"action count must be an integer >= 2, got {k!r}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-    if not isinstance(samples, (int, np.integer)) or samples < 1:
-        raise ValueError(f"samples must be a positive integer, got {samples!r}")
-    if max(int(samples), _MIN_CHARGED) * max(int(n), 1) > MAX_REP_STEPS:
+    n = checks.count(n, "step count")
+    k = checks.count(k, "action count", 2)
+    checks.delta(delta)
+    samples = checks.count(samples, "samples", 1)
+    seed = checks.count(seed, "seed")
+    if max(samples, _MIN_CHARGED) * max(n, 1) > MAX_REP_STEPS:
         raise BudgetExceededError(
             f"{samples} samples (charged as at least {_MIN_CHARGED}) of {n} steps exceed "
             f"the budget of {MAX_REP_STEPS} replication steps"
         )
     if baseline is None:
         baseline = 2 if k >= 3 else 0
-    if not 0 <= baseline < k:
-        raise ValueError(f"baseline action must lie in 0..{k - 1}, got {baseline!r}")
-    return int(n), int(k), float(delta), int(samples), int(seed), int(baseline)
+    return n, k, float(delta), samples, seed, checks.index(baseline, k, "baseline action")
 
 
 def _block_sizes(samples: int):

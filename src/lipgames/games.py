@@ -21,6 +21,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from . import checks
 from .errors import BudgetExceededError
 from .oracle import count_distribution, count_vector_rank
 
@@ -42,8 +43,8 @@ class AnonymousGame:
     payoffs: np.ndarray
 
     def __post_init__(self):
-        if self.n < 2 or self.k < 2:
-            raise ValueError("a game needs at least 2 players and 2 actions")
+        checks.count(self.n, "player count", 2)
+        checks.count(self.k, "action count", 2)
         payoffs = np.asarray(self.payoffs, dtype=np.float64)
         object.__setattr__(self, "payoffs", payoffs)
         classes = math.comb(self.n - 1 + self.k - 1, self.k - 1)
@@ -52,8 +53,7 @@ class AnonymousGame:
                 f"payoff table must have shape ({self.n}, {self.k}, {classes}), "
                 f"got {payoffs.shape}"
             )
-        if np.any((payoffs < 0.0) | (payoffs > 1.0)):
-            raise ValueError("payoffs must lie in [0, 1]")
+        checks.unit_interval(payoffs, "payoffs")
 
 
 @dataclass(frozen=True)
@@ -75,11 +75,9 @@ class SearchResult(NamedTuple):
 
 
 def _check_profile(game: AnonymousGame, profile: Sequence[int]) -> tuple[int, ...]:
-    profile = tuple(int(a) for a in profile)
+    profile = tuple(checks.index(a, game.k, "profile action") for a in profile)
     if len(profile) != game.n:
         raise ValueError(f"profile must list {game.n} actions, got {len(profile)}")
-    if any(not 0 <= a < game.k for a in profile):
-        raise ValueError(f"profile actions must lie in 0..{game.k - 1}")
     return profile
 
 
@@ -123,8 +121,7 @@ def perturbed_payoff(game: AnonymousGame, profile: Sequence[int], player: int, d
     """Exact expected payoff of ``player`` when every action is delta-perturbed."""
     profile = _check_profile(game, profile)
     _check_delta(delta)
-    if not 0 <= player < game.n:
-        raise ValueError(f"player must lie in 0..{game.n - 1}, got {player!r}")
+    checks.index(player, game.n, "player")
     return float(_declared_values(game, profile, player, delta, {})[1][profile[player]])
 
 
@@ -185,8 +182,7 @@ def find_eps_nash(
     ``profile_budget`` profiles are refused.
     """
     _check_delta(delta)
-    if eps < 0.0:
-        raise ValueError(f"eps must be nonnegative, got {eps!r}")
+    checks.bound(eps, "eps", zero_ok=True)
     total = game.k**game.n
     if total > profile_budget:
         raise BudgetExceededError(
@@ -216,8 +212,7 @@ def party_game(n: int, preferences: Sequence[str]) -> AnonymousGame:
 
     ``preferences`` lists "even" or "odd" per player.
     """
-    if n < 2:
-        raise ValueError(f"the party needs at least 2 players, got {n}")
+    checks.count(n, "player count", 2)
     preferences = list(preferences)
     if len(preferences) != n:
         raise ValueError(f"need one preference per player, got {len(preferences)}")
@@ -253,11 +248,9 @@ def parse_game(obj: dict) -> AnonymousGame:
     for field in ("n", "k", "payoffs"):
         if field not in obj:
             raise ValueError(f"game document is missing the field {field!r}")
-    n, k = obj["n"], obj["k"]
-    if not isinstance(n, int) or not isinstance(k, int):
-        raise ValueError("fields n and k must be integers")
+    n, k = checks.count(obj["n"], "field n", 2), checks.count(obj["k"], "field k", 2)
     payoffs = obj["payoffs"]
-    classes = math.comb(n - 1 + k - 1, k - 1) if n >= 2 and k >= 2 else 0
+    classes = math.comb(n - 1 + k - 1, k - 1)
     if not isinstance(payoffs, list) or len(payoffs) != n:
         raise ValueError(f"payoffs must list {n} players")
     for i, per_player in enumerate(payoffs):

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import checks
 from .errors import BudgetExceededError
 
 #: Largest trial count :func:`binomial_probs` accepts.  The O(n) closed forms
@@ -13,13 +14,6 @@ from .errors import BudgetExceededError
 #: limit); larger counts raise :class:`BudgetExceededError` up front instead
 #: of failing with ``MemoryError`` part way through.
 MAX_TRIALS = 10**7
-
-#: Guard tolerance for the sum-to-one check at construction time.  Exact
-#: dynamic programs drift by a few ulps per step, so extremely long
-#: recurrences (tens of thousands of steps) stay well inside this bound
-#: while genuine normalisation bugs are still caught.  Library tests assert
-#: the much tighter 1e-12 normalisation on all documented parameter ranges.
-SUM_GUARD_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -29,22 +23,14 @@ class IntegerPmf:
     ``probs[i]`` is the probability of the value ``offset + i``.  The stored
     support is whatever the producing computation yields; tails are never
     trimmed, so identities between different routes to the same law hold
-    entry by entry.
+    entry by entry.  ``probs`` must pass :func:`lipgames.checks.probabilities`.
     """
 
     offset: int
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
-        object.__setattr__(self, "probs", probs)
-        if probs.ndim != 1 or probs.size == 0:
-            raise ValueError("probs must be a non-empty one-dimensional array")
-        if np.any(probs < 0.0):
-            raise ValueError("probabilities must be nonnegative")
-        total = float(probs.sum())
-        if abs(total - 1.0) > SUM_GUARD_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
+        object.__setattr__(self, "probs", checks.probabilities(self.probs))
 
     @property
     def support_min(self) -> int:

@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-import numpy as np
-
+from . import checks
 from . import poisson_binomial as pb
 from . import random_walk as rw
 from .errors import IntegrityError
@@ -33,15 +32,6 @@ METHOD_ORACLE = "oracle"
 TWO_ACTION_EXACT_LIMIT = 256
 
 _BRACKET_SLACK = 1e-9
-
-
-def _check_args(n: int, k: int, delta: float, min_players: int = 2) -> None:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < min_players:
-        raise ValueError(f"player count must be an integer >= {min_players}, got {n!r}")
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 2:
-        raise ValueError(f"action count must be an integer >= 2, got {k!r}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
 
 
 @dataclass(frozen=True)
@@ -77,7 +67,9 @@ def asymptotic_estimate(n: int, k: int, delta: float) -> float:
     The exact constant divided by this estimate tends to 1 as
     ``n * delta / k`` grows.
     """
-    _check_args(n, k, delta, min_players=1)
+    checks.count(n, "player count", 1)
+    checks.count(k, "action count", 2)
+    checks.delta(delta)
     if k >= 3:
         return (1.0 - delta) * math.sqrt(k / (math.pi * n * delta))
     return (1.0 - delta) / math.sqrt(math.pi * n * delta * (1.0 - 0.5 * delta))
@@ -88,7 +80,7 @@ def lipschitz_multi_action(n: int, k: int, delta: float) -> LambdaResult:
 
     ``(1 - delta) * P(walk with rate 2*delta/k is in {0, 1} after n - 2 steps)``.
     """
-    _check_args(n, k, delta)
+    checks.instance(n, k, delta)
     if k < 3:
         raise ValueError("k must be at least 3; use the two-action routines for k = 2")
     value = (1.0 - delta) * rw.passage_prob(n - 2, 2.0 * delta / k)
@@ -102,7 +94,7 @@ def lipschitz_two_action(n: int, delta: float) -> LambdaResult:
     The split scan costs O(n^3); prefer :func:`lipschitz_two_action_even`
     for large even n.
     """
-    _check_args(n, 2, delta)
+    checks.instance(n, 2, delta)
     block = pb.two_block_max_prob(n - 2, delta)
     value = (1.0 - delta) * block.value
     return LambdaResult(value, value, value, METHOD_TWO_BLOCK, asymptotic_estimate(n, 2, delta))
@@ -116,7 +108,7 @@ def lipschitz_two_action_even(n: int, delta: float) -> float:
     after ``n/2 - 1`` steps; agrees with :func:`lipschitz_two_action` and
     costs O(n).
     """
-    _check_args(n, 2, delta)
+    checks.instance(n, 2, delta)
     if n % 2:
         raise ValueError(f"player count must be even, got {n}")
     return (1.0 - delta) * pb.binomial_collision_prob(n // 2 - 1, delta)
@@ -129,7 +121,7 @@ def two_action_odd_bracket(n: int, delta: float) -> tuple[float, float]:
     geometric mean of the constants at n - 1 and n + 1 players.  The exact
     value always lies inside.
     """
-    _check_args(n, 2, delta, min_players=3)
+    checks.instance(n, 2, delta)
     if n % 2 == 0:
         raise ValueError(f"player count must be odd, got {n}")
     lower = lipschitz_two_action_even(n + 1, delta)
@@ -145,7 +137,7 @@ def lipschitz_constant(n: int, k: int, delta: float) -> LambdaResult:
     n the equivalent walk formula; odd n carries the even-neighbour bracket,
     with the exact value up to the limit and the geometric midpoint beyond.
     """
-    _check_args(n, k, delta)
+    checks.instance(n, k, delta)
     if k >= 3:
         return lipschitz_multi_action(n, k, delta)
     estimate = asymptotic_estimate(n, 2, delta)
@@ -177,9 +169,7 @@ def delta_fixed_point(n: int, k: int, tol: float = 1e-10, max_iter: int = 200) -
     this delta leaves some profile within ``2 * k * value`` of a best
     response, hence a ``2 * delta``-equilibrium of the perturbed game.
     """
-    _check_args(n, k, 0.5)
-    if tol <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol!r}")
+    checks.bound(tol, "tolerance")
     lo, hi = 1e-9, 1.0 - 1e-9
 
     def gap(d: float) -> float:

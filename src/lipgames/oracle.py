@@ -19,29 +19,18 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import checks
 from .errors import BudgetExceededError
 
 #: Default ceiling on ``count classes x occupancy states`` handled by the oracle.
 DEFAULT_CELL_BUDGET = 10**7
 
 
-def _check_k(k: int) -> None:
-    if not isinstance(k, (int, np.integer)) or isinstance(k, bool) or k < 2:
-        raise ValueError(f"action count must be an integer >= 2, got {k!r}")
-
-
-def _check_delta(delta: float) -> None:
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
-
-
 @functools.lru_cache(maxsize=None)
 def count_vectors(m: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All k-part nonnegative compositions of m, in ascending lexicographic order."""
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 0:
-        raise ValueError(f"total must be a nonnegative integer, got {m!r}")
-    _check_k(k)
-    m, k = int(m), int(k)
+    m = checks.count(m, "total")
+    k = checks.count(k, "action count", 2)
 
     def rec(total: int, parts: int):
         if parts == 1:
@@ -90,10 +79,9 @@ def perturbed_action_law(j: int, k: int, delta: float) -> np.ndarray:
     The declared action keeps probability ``1 - delta + delta/k``; every
     other action receives ``delta/k``.
     """
-    _check_k(k)
-    _check_delta(delta)
-    if not 0 <= j < k:
-        raise ValueError(f"action must lie in 0..{k - 1}, got {j!r}")
+    checks.count(k, "action count", 2)
+    checks.delta(delta)
+    checks.index(j, k)
     law = np.full(k, delta / k)
     law[j] += 1.0 - delta
     return law
@@ -104,7 +92,7 @@ class CountDistribution:
     """Law of an occupancy vector: probabilities over k-part compositions of m.
 
     ``probs[r]`` is the probability of the composition with lexicographic
-    rank ``r``.
+    rank ``r``.  ``probs`` must pass :func:`lipgames.checks.probabilities`.
     """
 
     m: int
@@ -112,7 +100,7 @@ class CountDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
+        probs = checks.probabilities(self.probs)
         object.__setattr__(self, "probs", probs)
         expected = math.comb(self.m + self.k - 1, self.k - 1)
         if probs.shape != (expected,):
@@ -120,11 +108,6 @@ class CountDistribution:
                 f"expected {expected} probabilities for m={self.m}, k={self.k}, "
                 f"got shape {probs.shape}"
             )
-        if np.any(probs < 0.0):
-            raise ValueError("probabilities must be nonnegative")
-        total = float(probs.sum())
-        if abs(total - 1.0) > 1e-12:
-            raise ValueError(f"probabilities sum to {total!r}, not 1")
 
     def prob(self, counts: Sequence[int]) -> float:
         counts = tuple(int(c) for c in counts)
@@ -157,11 +140,8 @@ def count_distribution(profile: Sequence[int], k: int, delta: float) -> CountDis
     permutations of the profile yield bit-identical probabilities; the law
     itself depends on the profile only through its action counts.
     """
-    _check_k(k)
-    _check_delta(delta)
-    actions = sorted(int(a) for a in profile)
-    if any(not 0 <= a < k for a in actions):
-        raise ValueError(f"profile actions must lie in 0..{k - 1}")
+    checks.count(k, "action count", 2)
+    actions = sorted(checks.index(a, k, "profile action") for a in profile)
     laws = _action_laws(k, delta)
     probs = np.array([1.0])
     for t, action in enumerate(actions):
@@ -180,9 +160,8 @@ def _shift_tv(probs: np.ndarray, m: int, k: int, j1: int, j2: int) -> float:
 
 def shifted_tv(dist: CountDistribution, j1: int, j2: int) -> float:
     """TV distance between the occupancy law plus one extra player on j1 vs on j2."""
-    for j in (j1, j2):
-        if not 0 <= j < dist.k:
-            raise ValueError(f"action must lie in 0..{dist.k - 1}, got {j!r}")
+    checks.index(j1, dist.k)
+    checks.index(j2, dist.k)
     if j1 == j2:
         return 0.0
     return _shift_tv(dist.probs, dist.m, dist.k, j1, j2)
@@ -211,10 +190,7 @@ def lipschitz_oracle(
     the law from scratch, but classes that share a prefix of counts share
     the folds of that prefix: ``C(n - 2 + k, k)`` fold steps in all.
     """
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 2:
-        raise ValueError(f"player count must be an integer >= 2, got {n!r}")
-    _check_k(k)
-    _check_delta(delta)
+    checks.instance(n, k, delta)
     m = n - 2
     cells = math.comb(m + k - 1, k - 1) * math.comb(m + k, k - 1)
     if cells > cell_budget:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import checks
 from .errors import IntegrityError
 from .integer_pmf import IntegerPmf, binomial_probs
 
@@ -31,8 +32,7 @@ def _check_terms(probs, signs):
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 1:
         raise ValueError("success probabilities must form a one-dimensional sequence")
-    if np.any((probs < 0.0) | (probs > 1.0)):
-        raise ValueError("success probabilities must lie in [0, 1]")
+    checks.unit_interval(probs, "success probabilities")
     if signs is None:
         signs = np.ones(probs.size, dtype=np.int64)
     else:
@@ -42,13 +42,6 @@ def _check_terms(probs, signs):
         if np.any(np.abs(signs) != 1):
             raise ValueError("signs must be +1 or -1")
     return probs, signs
-
-
-def _check_count_delta(n: int, delta: float) -> None:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 0:
-        raise ValueError(f"term count must be a nonnegative integer, got {n!r}")
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
 
 
 def pb_pmf(probs, shift: int = 0, signs=None) -> IntegerPmf:
@@ -152,7 +145,8 @@ def two_block_max_prob(n: int, delta: float) -> TwoBlockMax:
     larger split, then to the smaller outcome; ``value`` is the maximum
     itself.  ``n = 0`` gives probability 1 at outcome 0.
     """
-    _check_count_delta(n, delta)
+    checks.count(n, "term count")
+    checks.delta(delta)
     q = 0.5 * delta
     successes = _bernoulli_sum_pmfs(n, q)
     failures = _bernoulli_sum_pmfs(n, 1.0 - q)
@@ -174,6 +168,7 @@ def binomial_collision_prob(n: int, delta: float) -> float:
     tests.  Counts above :data:`~lipgames.integer_pmf.MAX_TRIALS` raise
     :class:`~lipgames.errors.BudgetExceededError`.
     """
-    _check_count_delta(n, delta)
+    checks.count(n, "term count")
+    checks.delta(delta)
     pmf = binomial_probs(n, 0.5 * delta)
     return float(np.dot(pmf, pmf))

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import checks
 from .errors import BudgetExceededError
 from .integer_pmf import IntegerPmf, binomial_probs
 
@@ -21,17 +22,9 @@ from .integer_pmf import IntegerPmf, binomial_probs
 MAX_DP_STEPS = 2**15
 
 
-def _check_params(n: int, r: float) -> None:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"step count must be an integer, got {n!r}")
-    if n < 0:
-        raise ValueError(f"step count must be nonnegative, got {n}")
-    if not 0.0 < r <= 1.0:
-        raise ValueError(f"rate must lie in (0, 1], got {r!r}")
-
-
 def _check_dp_params(n: int, r: float) -> None:
-    _check_params(n, r)
+    checks.count(n, "step count")
+    checks.rate(r)
     if n > MAX_DP_STEPS:
         raise BudgetExceededError(f"{n} walk steps exceed the dynamic-program budget of {MAX_DP_STEPS}")
 
@@ -81,7 +74,8 @@ def passage_prob(n: int, r: float) -> float:
     :data:`~lipgames.integer_pmf.MAX_TRIALS` raise
     :class:`~lipgames.errors.BudgetExceededError`.
     """
-    _check_params(n, r)
+    checks.count(n, "step count")
+    checks.rate(r)
     moves = binomial_probs(n, r)
     j = np.arange(n, dtype=np.float64)
     factors = np.where(j % 2 == 0, (j + 1.0) / (j + 2.0), 1.0)

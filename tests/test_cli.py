@@ -9,6 +9,7 @@ import pytest
 
 import lipgames.coupling
 import lipgames.games
+import lipgames.lipschitz
 from lipgames import game_to_dict, random_game
 from lipgames.cli import main
 
@@ -336,3 +337,21 @@ def test_fifteen_significant_digits(capsys):
     # sqrt(0.15625) rendered at 15 significant digits
     assert upper == "0.395284707521047"
     assert upper == format(float(upper), ".15g")
+
+
+def test_nan_epsilon_is_refused(capsys):
+    code, out, err = run_cli(
+        capsys, "equilibrium", "--party", "4", "--delta", "0.2", "--epsilon", "nan"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ValueError:") and "eps" in err
+
+
+def test_nan_tolerance_is_refused_before_bisection(capsys, monkeypatch):
+    def no_evaluation(*args):
+        raise AssertionError("bisection ran")
+
+    monkeypatch.setattr(lipgames.lipschitz, "lipschitz_constant", no_evaluation)
+    code, out, err = run_cli(capsys, "delta-star", "--n", "10", "--k", "3", "--tol", "nan")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ValueError:") and "tolerance" in err

@@ -348,3 +348,11 @@ def test_replication_step_budget_is_checked_before_running(monkeypatch):
         simulate_meet_time(5, 3, 0.3, floor + 1, seed=0)
     with pytest.raises(BudgetExceededError):
         simulate_meet_time(6, 3, 0.3, 1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "samples, seed, name", ((True, 0, "samples"), (100, 1.7, "seed")), ids=("bool-samples", "float-seed")
+)
+def test_non_integer_samples_and_seed_are_refused(samples, seed, name):
+    with pytest.raises(ValueError, match=name):
+        simulate_coupling(5, 3, 0.3, samples, seed)

@@ -289,3 +289,15 @@ def test_report_carries_unperturbed_regret(n, k, seed, delta):
         assert report.unperturbed_regret == pytest.approx(
             _unperturbed_regret_by_enumeration(game, profile, delta), abs=1e-12
         )
+
+
+def test_nan_payoffs_are_refused():
+    payoffs = np.full((2, 2, 2), 0.5)
+    payoffs[0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="payoffs"):
+        AnonymousGame(2, 2, payoffs)
+
+
+def test_bool_player_is_refused():
+    with pytest.raises(ValueError, match="player"):
+        perturbed_payoff(random_game(3, 2, seed=0), (0, 1, 1), True, 0.5)

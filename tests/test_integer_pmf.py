@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lipgames import IntegerPmf
+from lipgames import CountDistribution, IntegerPmf
 
 
 def test_prob_inside_and_outside_support():
@@ -36,3 +36,20 @@ def test_rejects_empty_and_multidim():
         IntegerPmf(0, [])
     with pytest.raises(ValueError):
         IntegerPmf(0, np.ones((2, 2)) / 4.0)
+
+
+def test_rejects_nan_entry():
+    with pytest.raises(ValueError, match="nonnegative"):
+        IntegerPmf(0, [np.nan])
+
+
+@pytest.mark.parametrize(
+    "build",
+    (lambda probs: IntegerPmf(0, probs), lambda probs: CountDistribution(1, 2, probs)),
+    ids=("IntegerPmf", "CountDistribution"),
+)
+def test_one_sum_guard_tolerance(build):
+    # both classes share SUM_GUARD_TOL = 1e-11
+    assert np.array_equal(build(np.array([0.5, 0.5 + 2e-12])).probs, [0.5, 0.5 + 2e-12])
+    with pytest.raises(ValueError, match="sum"):
+        build(np.array([0.5, 0.5 + 2e-11]))

