@@ -4,7 +4,10 @@ Commands: ``lambda``, ``sweep``, ``coupling``, ``meet-time``,
 ``equilibrium``, ``delta-star`` and ``verify``.  Every float is rendered
 with 15 significant digits and all randomness flows through explicit
 ``--seed`` flags, so repeated runs with the same arguments produce
-byte-identical output.  Errors exit nonzero with a one-line
+byte-identical output.  Each command returns its exit code and the text
+:func:`_render` made of its results; :func:`main` hands that text to
+:func:`_write`, the only code that writes stdout or sweep's ``--output``
+file.  Errors exit nonzero with a one-line
 ``error: <Type>: <message>`` on stderr: 2 for a refused budget or
 exhausted memory, 1 otherwise.
 """
@@ -26,7 +29,10 @@ from . import random_walk as rw
 from .errors import BudgetExceededError, IntegrityError
 
 VERIFY_DELTAS = (0.1, 0.25, 0.5, 0.75, 0.9)
+#: (k, largest n) of each formula-vs-oracle family, in report order.
+VERIFY_FAMILIES = ((3, 8), (4, 8), (2, 12))
 VERIFY_TOL = 1e-9
+SWEEP_COLUMNS = ("n", "k", "delta", "lambda", "lower", "upper", "asymptotic", "ratio")
 
 
 def _fmt(x: float) -> str:
@@ -44,19 +50,40 @@ def _jsonable(x):
     return x
 
 
-def _emit(payload: dict, as_json: bool) -> None:
+def _text(value) -> str:
+    if isinstance(value, float):
+        return _fmt(value)
+    if isinstance(value, (list, tuple)):
+        return "(" + ", ".join(str(v) for v in value) + ")"
+    return str(value)
+
+
+def _render(payload: dict, as_json: bool, table=()) -> str:
+    """The one output format of every command.
+
+    Text: a ``key = value`` line per payload entry, then one CSV line per
+    row of ``table``.  JSON: one document with floats rounded by
+    :func:`_jsonable`; the table's rows as objects keyed by its first row
+    when there is a table, else the payload.
+    """
     if as_json:
-        print(json.dumps(_jsonable(payload), sort_keys=True))
+        doc = [dict(zip(table[0], row)) for row in table[1:]] if table else payload
+        return json.dumps(_jsonable(doc), sort_keys=True) + "\n"
+    lines = [f"{key} = {_text(value)}" for key, value in payload.items()]
+    lines += [",".join(_text(cell) for cell in row) for row in table]
+    return "".join(line + "\n" for line in lines)
+
+
+def _write(text: str, path: str) -> None:
+    """The one writer: ``text`` to stdout when ``path`` is ``-``, else to the file."""
+    if path == "-":
+        sys.stdout.write(text)
         return
-    for key, value in payload.items():
-        if isinstance(value, float):
-            value = _fmt(value)
-        elif isinstance(value, (list, tuple)):
-            value = "(" + ", ".join(str(v) for v in value) + ")"
-        print(f"{key} = {value}")
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
 
 
-def cmd_lambda(ns) -> int:
+def cmd_lambda(ns) -> tuple[int, str]:
     payload: dict = {"n": ns.n, "k": ns.k, "delta": ns.delta}
     if ns.method in ("formula", "both"):
         res = lz.lipschitz_constant(ns.n, ns.k, ns.delta)
@@ -85,8 +112,7 @@ def cmd_lambda(ns) -> int:
             payload["oracle"] = value
             payload["difference"] = abs(payload["lambda"] - value)
         payload["worst_class"] = list(worst)
-    _emit(payload, ns.json)
-    return 0
+    return 0, _render(payload, ns.json)
 
 
 def _sweep_rows(ns):
@@ -99,49 +125,15 @@ def _sweep_rows(ns):
     for n in range(ns.n_start, ns.n_stop + 1, ns.n_step):
         for d in ns.delta:
             res = lz.lipschitz_constant(n, ns.k, d)
-            yield {
-                "n": n,
-                "k": ns.k,
-                "delta": d,
-                "lambda": res.value,
-                "lower": res.lower,
-                "upper": res.upper,
-                "asymptotic": res.asymptotic,
-                "ratio": res.value / res.asymptotic,
-            }
+            yield (n, ns.k, d, res.value, res.lower, res.upper, res.asymptotic,
+                   res.value / res.asymptotic)
 
 
-def cmd_sweep(ns) -> int:
-    rows = list(_sweep_rows(ns))
-    if ns.format == "csv":
-        lines = ["n,k,delta,lambda,lower,upper,asymptotic,ratio"]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    [
-                        str(row["n"]),
-                        str(row["k"]),
-                        _fmt(row["delta"]),
-                        _fmt(row["lambda"]),
-                        _fmt(row["lower"]),
-                        _fmt(row["upper"]),
-                        _fmt(row["asymptotic"]),
-                        _fmt(row["ratio"]),
-                    ]
-                )
-            )
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps([_jsonable(row) for row in rows], sort_keys=True) + "\n"
-    if ns.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(ns.output, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    return 0
+def cmd_sweep(ns) -> tuple[int, str]:
+    return 0, _render({}, ns.format == "json", [SWEEP_COLUMNS, *_sweep_rows(ns)])
 
 
-def cmd_coupling(ns) -> int:
+def cmd_coupling(ns) -> tuple[int, str]:
     est = cp.simulate_coupling(ns.n, ns.k, ns.delta, ns.samples, ns.seed, ns.baseline)
     exact = rw.passage_prob(ns.n, 2.0 * ns.delta / ns.k)
     diff = est.estimate - exact
@@ -149,24 +141,21 @@ def cmd_coupling(ns) -> int:
         z = diff / est.std_error
     else:
         z = 0.0 if diff == 0.0 else float("inf")
-    _emit(
-        {
-            "n": ns.n,
-            "k": ns.k,
-            "delta": ns.delta,
-            "samples": est.samples,
-            "seed": est.seed,
-            "estimate": est.estimate,
-            "std_error": est.std_error,
-            "exact": exact,
-            "z_score": z,
-        },
-        ns.json,
-    )
-    return 0
+    payload = {
+        "n": ns.n,
+        "k": ns.k,
+        "delta": ns.delta,
+        "samples": est.samples,
+        "seed": est.seed,
+        "estimate": est.estimate,
+        "std_error": est.std_error,
+        "exact": exact,
+        "z_score": z,
+    }
+    return 0, _render(payload, ns.json)
 
 
-def cmd_meet_time(ns) -> int:
+def cmd_meet_time(ns) -> tuple[int, str]:
     res = cp.simulate_meet_time(ns.n, ns.k, ns.delta, ns.samples, ns.seed, ns.baseline)
     total_moves = int(res.transitions.sum())
     freq = res.transitions / total_moves if total_moves else np.zeros(3)
@@ -185,18 +174,14 @@ def cmd_meet_time(ns) -> int:
         "rate_up": rate,
     }
     if ns.json:
-        payload["counts"] = [int(c) for c in res.counts]
-        print(json.dumps(_jsonable(payload), sort_keys=True))
-        return 0
-    _emit(payload, False)
-    print("step,count")
-    for step in range(1, ns.n + 1):
-        print(f"{step},{int(res.counts[step])}")
-    print(f"never,{int(res.counts[ns.n + 1])}")
-    return 0
+        payload["counts"] = res.counts.tolist()
+        return 0, _render(payload, True)
+    # counts[1..n] meet at that step; counts[n + 1] never meet.
+    steps = [*range(1, ns.n + 1), "never"]
+    return 0, _render(payload, False, [("step", "count"), *zip(steps, res.counts[1:].tolist())])
 
 
-def cmd_equilibrium(ns) -> int:
+def cmd_equilibrium(ns) -> tuple[int, str]:
     if (ns.game is None) == (ns.party is None):
         raise ValueError("provide exactly one of --game FILE or --party N")
     if ns.game is not None:
@@ -211,77 +196,60 @@ def cmd_equilibrium(ns) -> int:
     else:
         eps = float(ns.epsilon)
     found = gm.find_eps_nash(game, ns.delta, eps, ns.profile_budget)
-    payload: dict = {"n": game.n, "k": game.k, "delta": ns.delta, "epsilon": eps}
-    if found is None:
-        payload["found"] = False
-        _emit(payload, ns.json)
-        return 0
-    payload.update(
-        {
-            "found": True,
-            "profile": list(found.profile),
-            "max_regret": found.report.max_regret,
-            "unperturbed_guarantee": ns.delta + found.report.max_regret,
-            "unperturbed_regret": found.report.unperturbed_regret,
-        }
-    )
-    _emit(payload, ns.json)
-    return 0
+    payload: dict = {"n": game.n, "k": game.k, "delta": ns.delta, "epsilon": eps,
+                     "found": found is not None}
+    if found is not None:
+        payload.update(
+            {
+                "profile": list(found.profile),
+                "max_regret": found.report.max_regret,
+                "unperturbed_guarantee": ns.delta + found.report.max_regret,
+                "unperturbed_regret": found.report.unperturbed_regret,
+            }
+        )
+    return 0, _render(payload, ns.json)
 
 
-def cmd_delta_star(ns) -> int:
+def cmd_delta_star(ns) -> tuple[int, str]:
     point = lz.delta_fixed_point(ns.n, ns.k, ns.tol)
-    _emit(
-        {
-            "n": ns.n,
-            "k": ns.k,
-            "delta_star": point.delta,
-            "lambda_star": point.value,
-            "epsilon": 2.0 * point.delta,
-            "residual": abs(point.value - point.delta),
-        },
-        ns.json,
-    )
-    return 0
+    payload = {
+        "n": ns.n,
+        "k": ns.k,
+        "delta_star": point.delta,
+        "lambda_star": point.value,
+        "epsilon": 2.0 * point.delta,
+        "residual": abs(point.value - point.delta),
+    }
+    return 0, _render(payload, ns.json)
 
 
-def cmd_verify(ns) -> int:
-    cases = 0
-    worst = 0.0
-    worst_case = None
-    for k in (3, 4):
-        for n in range(2, 9):
-            for delta in VERIFY_DELTAS:
-                diff = abs(
-                    lz.lipschitz_multi_action(n, k, delta).value
-                    - orc.lipschitz_oracle(n, k, delta).value
-                )
-                cases += 1
-                if diff > worst:
-                    worst, worst_case = diff, (n, k, delta)
-    for n in range(2, 13):
-        for delta in VERIFY_DELTAS:
-            diff = abs(
-                lz.lipschitz_two_action(n, delta).value
-                - orc.lipschitz_oracle(n, 2, delta).value
-            )
-            cases += 1
-            if diff > worst:
-                worst, worst_case = diff, (n, 2, delta)
-    print(f"cases = {cases}")
-    print(f"max_deviation = {_fmt(worst)}")
+def cmd_verify(ns) -> tuple[int, str]:
+    cases = [(n, k, delta) for k, top in VERIFY_FAMILIES
+             for n in range(2, top + 1) for delta in VERIFY_DELTAS]
+    worst, worst_case = 0.0, None
+    for n, k, delta in cases:
+        res = lz.lipschitz_two_action(n, delta) if k == 2 else lz.lipschitz_multi_action(n, k, delta)
+        diff = abs(res.value - orc.lipschitz_oracle(n, k, delta).value)
+        # Strict, so the first case of a tied maximum is the one reported.
+        if diff > worst:
+            worst, worst_case = diff, (n, k, delta)
+    payload: dict = {"cases": len(cases), "max_deviation": worst}
     if worst_case is not None:
-        print(f"worst_case = (n={worst_case[0]}, k={worst_case[1]}, delta={_fmt(worst_case[2])})")
-    print(f"tolerance = {_fmt(VERIFY_TOL)}")
-    if worst > VERIFY_TOL:
-        print("verify: FAIL")
-        return 1
-    print("verify: PASS")
-    return 0
+        n, k, delta = worst_case
+        payload["worst_case"] = f"(n={n}, k={k}, delta={_fmt(delta)})"
+    payload["tolerance"] = VERIFY_TOL
+    failed = worst > VERIFY_TOL
+    return int(failed), _render(payload, False, [(f"verify: {'FAIL' if failed else 'PASS'}",)])
 
 
 def _add_json_flag(parser) -> None:
     parser.add_argument("--json", action="store_true", help="emit a single JSON object")
+
+
+def _add_instance(parser) -> None:
+    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument("--k", type=int, required=True)
+    parser.add_argument("--delta", type=float, required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,9 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("lambda", help="evaluate the constant at one (n, k, delta)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--delta", type=float, required=True)
+    _add_instance(p)
     p.add_argument("--method", choices=("formula", "oracle", "both"), default="formula")
     _add_json_flag(p)
     p.set_defaults(func=cmd_lambda)
@@ -310,26 +276,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("coupling", help="Monte Carlo mirror coupling vs the exact walk value")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--baseline", type=int, default=None,
-                   help="baseline action of the unperturbed players")
-    _add_json_flag(p)
-    p.set_defaults(func=cmd_coupling)
-
-    p = sub.add_parser("meet-time", help="histogram of the chains' first meeting step")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--baseline", type=int, default=None)
-    _add_json_flag(p)
-    p.set_defaults(func=cmd_meet_time)
+    for name, help_text, func in (
+        ("coupling", "Monte Carlo mirror coupling vs the exact walk value", cmd_coupling),
+        ("meet-time", "histogram of the chains' first meeting step", cmd_meet_time),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        _add_instance(p)
+        p.add_argument("--samples", type=int, default=100_000)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--baseline", type=int, default=None,
+                       help="baseline action of the unperturbed players")
+        _add_json_flag(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("equilibrium", help="exhaustive search for a pure eps-equilibrium")
     p.add_argument("--game", help="JSON game file (fields n, k, payoffs)")
@@ -358,7 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        return ns.func(ns)
+        code, text = ns.func(ns)
+        _write(text, getattr(ns, "output", "-"))
+        return code
     except (ValueError, IntegrityError, OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (BudgetExceededError, MemoryError)) else 1

@@ -27,6 +27,7 @@ from .oracle import count_distribution, count_vector_rank
 
 #: Default ceiling on the number of profiles an exhaustive scan may visit.
 DEFAULT_PROFILE_BUDGET = 10**7
+_NUMBER = (int, float, np.integer, np.floating)
 
 
 @dataclass(frozen=True)
@@ -183,6 +184,7 @@ def find_eps_nash(
     """
     _check_delta(delta)
     checks.bound(eps, "eps", zero_ok=True)
+    profile_budget = checks.count(profile_budget, "profile budget")
     total = game.k**game.n
     if total > profile_budget:
         raise BudgetExceededError(
@@ -261,6 +263,10 @@ def parse_game(obj: dict) -> AnonymousGame:
                 raise ValueError(
                     f"payoffs[{i}][{j}] must list {classes} count-vector ranks"
                 )
+            # Numbers only: numpy would read "0.5" or true as a payoff and
+            # raise TypeError, not ValueError, on an object.
+            if not all(isinstance(v, _NUMBER) and not isinstance(v, bool) for v in per_action):
+                raise ValueError(f"payoffs[{i}][{j}] must hold numbers only")
     return AnonymousGame(n, k, np.asarray(payoffs, dtype=np.float64))
 
 

@@ -170,6 +170,7 @@ def delta_fixed_point(n: int, k: int, tol: float = 1e-10, max_iter: int = 200) -
     response, hence a ``2 * delta``-equilibrium of the perturbed game.
     """
     checks.bound(tol, "tolerance")
+    max_iter = checks.count(max_iter, "iteration count")
     lo, hi = 1e-9, 1.0 - 1e-9
 
     def gap(d: float) -> float:

@@ -26,7 +26,6 @@ from .errors import BudgetExceededError
 DEFAULT_CELL_BUDGET = 10**7
 
 
-@functools.lru_cache(maxsize=None)
 def count_vectors(m: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All k-part nonnegative compositions of m, in ascending lexicographic order."""
     m = checks.count(m, "total")
@@ -191,6 +190,7 @@ def lipschitz_oracle(
     the folds of that prefix: ``C(n - 2 + k, k)`` fold steps in all.
     """
     checks.instance(n, k, delta)
+    cell_budget = checks.count(cell_budget, "cell budget")
     m = n - 2
     cells = math.comb(m + k - 1, k - 1) * math.comb(m + k, k - 1)
     if cells > cell_budget:

@@ -292,6 +292,24 @@ def test_equilibrium_malformed_file(tmp_path, capsys):
     assert err.startswith("error: ValueError:")
 
 
+@pytest.mark.parametrize("leaf", [{}, "0.5", True], ids=["object", "string", "bool"])
+def test_equilibrium_non_numeric_payoff_is_one_line_error(tmp_path, capsys, leaf):
+    path = tmp_path / "game.json"
+    path.write_text(json.dumps({"n": 2, "k": 2, "payoffs": [[[leaf, 0.2], [0.3, 0.4]], [[0.5, 0.6], [0.7, 0.8]]]}))
+    code, out, err = run_cli(capsys, "equilibrium", "--game", str(path), "--delta", "0.1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ValueError: payoffs[0][0] must hold numbers")
+    assert "\n" not in err.strip()
+
+
+def test_negative_profile_budget_is_refused(capsys):
+    code, out, err = run_cli(
+        capsys, "equilibrium", "--party", "3", "--delta", "0.1", "--profile-budget", "-1"
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ValueError:") and "profile budget" in err
+
+
 def test_equilibrium_requires_exactly_one_source(capsys):
     code, _, err = run_cli(capsys, "equilibrium", "--delta", "0.1")
     assert code == 1

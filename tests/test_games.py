@@ -145,6 +145,15 @@ def test_find_eps_nash_budget():
         find_eps_nash(game, 0.1, 1.0, profile_budget=10)
 
 
+def test_profile_budget_is_checked():
+    game = random_game(8, 2, seed=1)
+    for budget in (float("nan"), 1e7, True, -1):
+        with pytest.raises(ValueError, match="profile budget"):
+            find_eps_nash(game, 0.1, 0.0, profile_budget=budget)
+    with pytest.raises(BudgetExceededError):
+        find_eps_nash(game, 0.1, 0.0, profile_budget=0)
+
+
 def test_game_validation():
     with pytest.raises(ValueError, match="shape"):
         AnonymousGame(3, 2, np.zeros((3, 2, 2)))

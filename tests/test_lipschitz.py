@@ -153,6 +153,12 @@ def test_fixed_point_rejects_bad_tol():
         delta_fixed_point(10, 3, tol=0.0)
 
 
+def test_iteration_count_is_checked():
+    for max_iter in (float("nan"), 200.0, True, -1):
+        with pytest.raises(ValueError, match="iteration count"):
+            delta_fixed_point(10, 3, max_iter=max_iter)
+
+
 def test_rejects_bad_arguments():
     with pytest.raises(ValueError):
         lipschitz_multi_action(1, 3, 0.5)

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from lipgames import (
     perturbed_action_law,
     shifted_tv,
 )
+from lipgames import oracle
 
 import brute
 
@@ -155,6 +158,32 @@ def test_oracle_relabel_symmetry():
 def test_oracle_budget():
     with pytest.raises(BudgetExceededError):
         lipschitz_oracle(40, 4, 0.3, cell_budget=1000)
+
+
+def test_cell_budget_is_checked():
+    for budget in (float("nan"), 1e7, True, -1):
+        with pytest.raises(ValueError, match="cell budget"):
+            lipschitz_oracle(12, 3, 0.3, cell_budget=budget)
+    with pytest.raises(BudgetExceededError):
+        lipschitz_oracle(2, 2, 0.3, cell_budget=0)
+
+
+def test_oracle_leaves_only_the_add_action_maps_behind():
+    # The count-class tuples are rebuilt per call; only the index maps stay
+    # cached, so what a call keeps alive is about their own bytes.
+    n = 102
+    oracle._add_action_maps.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lipschitz_oracle(n, 2, 0.3)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    maps = sum(oracle._add_action_maps(t, 2).nbytes for t in range(n - 2))
+    assert kept <= 2 * maps
 
 
 def test_oracle_rejects_bad_arguments():
