@@ -7,15 +7,19 @@ with 15 significant digits and all randomness flows through explicit
 byte-identical output.  Each command returns its exit code and the text
 :func:`_render` made of its results; :func:`main` hands that text to
 :func:`_write`, the only code that writes stdout or sweep's ``--output``
-file.  Errors exit nonzero with a one-line
+file.  Non-finite floats appear in JSON as the strings ``"inf"``,
+``"-inf"`` and ``"nan"``, as in text.  Errors exit nonzero with a one-line
 ``error: <Type>: <message>`` on stderr: 2 for a refused budget or
-exhausted memory, 1 otherwise.
+exhausted memory, 1 otherwise.  The argument parser is built once per
+process, on the first :func:`main` call, and reused by every later call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -40,9 +44,13 @@ def _fmt(x: float) -> str:
 
 
 def _jsonable(x):
-    """Round floats to the 15-significant-digit rendering for JSON output."""
+    """Round floats to the 15-significant-digit rendering for JSON output.
+
+    JSON has no non-finite numbers, so inf, -inf and nan become the
+    strings the text rendering prints.
+    """
     if isinstance(x, float):
-        return float(_fmt(x))
+        return float(_fmt(x)) if math.isfinite(x) else _fmt(x)
     if isinstance(x, dict):
         return {key: _jsonable(val) for key, val in x.items()}
     if isinstance(x, (list, tuple)):
@@ -68,7 +76,7 @@ def _render(payload: dict, as_json: bool, table=()) -> str:
     """
     if as_json:
         doc = [dict(zip(table[0], row)) for row in table[1:]] if table else payload
-        return json.dumps(_jsonable(doc), sort_keys=True) + "\n"
+        return json.dumps(_jsonable(doc), sort_keys=True, allow_nan=False) + "\n"
     lines = [f"{key} = {_text(value)}" for key, value in payload.items()]
     lines += [",".join(_text(cell) for cell in row) for row in table]
     return "".join(line + "\n" for line in lines)
@@ -313,8 +321,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The process-wide parser of :func:`main`, built on its first call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ns = build_parser().parse_args(argv)
+    ns = _parser().parse_args(argv)
     try:
         code, text = ns.func(ns)
         _write(text, getattr(ns, "output", "-"))

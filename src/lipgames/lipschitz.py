@@ -70,9 +70,7 @@ def asymptotic_estimate(n: int, k: int, delta: float) -> float:
     checks.count(n, "player count", 1)
     checks.count(k, "action count", 2)
     checks.delta(delta)
-    if k >= 3:
-        return (1.0 - delta) * math.sqrt(k / (math.pi * n * delta))
-    return (1.0 - delta) / math.sqrt(math.pi * n * delta * (1.0 - 0.5 * delta))
+    return _asymptotic(n, k, delta)
 
 
 def lipschitz_multi_action(n: int, k: int, delta: float) -> LambdaResult:
@@ -83,8 +81,7 @@ def lipschitz_multi_action(n: int, k: int, delta: float) -> LambdaResult:
     checks.instance(n, k, delta)
     if k < 3:
         raise ValueError("k must be at least 3; use the two-action routines for k = 2")
-    value = (1.0 - delta) * rw.passage_prob(n - 2, 2.0 * delta / k)
-    return LambdaResult(value, value, value, METHOD_WALK, asymptotic_estimate(n, k, delta))
+    return _dispatch(n, k, delta)
 
 
 def lipschitz_two_action(n: int, delta: float) -> LambdaResult:
@@ -95,9 +92,8 @@ def lipschitz_two_action(n: int, delta: float) -> LambdaResult:
     for large even n.
     """
     checks.instance(n, 2, delta)
-    block = pb.two_block_max_prob(n - 2, delta)
-    value = (1.0 - delta) * block.value
-    return LambdaResult(value, value, value, METHOD_TWO_BLOCK, asymptotic_estimate(n, 2, delta))
+    value = _two_action(n, delta)
+    return LambdaResult(value, value, value, METHOD_TWO_BLOCK, _asymptotic(n, 2, delta))
 
 
 def lipschitz_two_action_even(n: int, delta: float) -> float:
@@ -111,7 +107,7 @@ def lipschitz_two_action_even(n: int, delta: float) -> float:
     checks.instance(n, 2, delta)
     if n % 2:
         raise ValueError(f"player count must be even, got {n}")
-    return (1.0 - delta) * pb.binomial_collision_prob(n // 2 - 1, delta)
+    return _two_action_even(n, delta)
 
 
 def two_action_odd_bracket(n: int, delta: float) -> tuple[float, float]:
@@ -124,9 +120,7 @@ def two_action_odd_bracket(n: int, delta: float) -> tuple[float, float]:
     checks.instance(n, 2, delta)
     if n % 2 == 0:
         raise ValueError(f"player count must be odd, got {n}")
-    lower = lipschitz_two_action_even(n + 1, delta)
-    upper = math.sqrt(lipschitz_two_action_even(n - 1, delta) * lower)
-    return lower, upper
+    return _odd_bracket(n, delta)
 
 
 def lipschitz_constant(n: int, k: int, delta: float) -> LambdaResult:
@@ -138,19 +132,50 @@ def lipschitz_constant(n: int, k: int, delta: float) -> LambdaResult:
     with the exact value up to the limit and the geometric midpoint beyond.
     """
     checks.instance(n, k, delta)
+    return _dispatch(n, k, delta)
+
+
+# The private routes below take arguments their public callers have checked.
+
+
+def _asymptotic(n, k, delta) -> float:
     if k >= 3:
-        return lipschitz_multi_action(n, k, delta)
-    estimate = asymptotic_estimate(n, 2, delta)
+        return (1.0 - delta) * math.sqrt(k / (math.pi * n * delta))
+    return (1.0 - delta) / math.sqrt(math.pi * n * delta * (1.0 - 0.5 * delta))
+
+
+def _multi_action(n, k, delta) -> float:
+    return (1.0 - delta) * rw.passage_prob(n - 2, 2.0 * delta / k)
+
+
+def _two_action(n, delta) -> float:
+    return (1.0 - delta) * pb.two_block_max_prob(n - 2, delta).value
+
+
+def _two_action_even(n, delta) -> float:
+    return (1.0 - delta) * pb.binomial_collision_prob(n // 2 - 1, delta)
+
+
+def _odd_bracket(n, delta) -> tuple[float, float]:
+    lower = _two_action_even(n + 1, delta)
+    upper = math.sqrt(_two_action_even(n - 1, delta) * lower)
+    return lower, upper
+
+
+def _dispatch(n, k, delta) -> LambdaResult:
+    """:func:`lipschitz_constant` without its argument check."""
+    estimate = _asymptotic(n, k, delta)
+    if k >= 3:
+        value = _multi_action(n, k, delta)
+        return LambdaResult(value, value, value, METHOD_WALK, estimate)
     if n % 2 == 0:
         if n <= TWO_ACTION_EXACT_LIMIT:
-            return lipschitz_two_action(n, delta)
-        value = lipschitz_two_action_even(n, delta)
-        return LambdaResult(value, value, value, METHOD_EVEN_WALK, estimate)
-    lower, upper = two_action_odd_bracket(n, delta)
-    if n <= TWO_ACTION_EXACT_LIMIT:
-        value = lipschitz_two_action(n, delta).value
-    else:
-        value = math.sqrt(lower * upper)
+            value, method = _two_action(n, delta), METHOD_TWO_BLOCK
+        else:
+            value, method = _two_action_even(n, delta), METHOD_EVEN_WALK
+        return LambdaResult(value, value, value, method, estimate)
+    lower, upper = _odd_bracket(n, delta)
+    value = _two_action(n, delta) if n <= TWO_ACTION_EXACT_LIMIT else math.sqrt(lower * upper)
     return LambdaResult(value, lower, upper, METHOD_ODD_BRACKET, estimate)
 
 
@@ -171,10 +196,12 @@ def delta_fixed_point(n: int, k: int, tol: float = 1e-10, max_iter: int = 200) -
     """
     checks.bound(tol, "tolerance")
     max_iter = checks.count(max_iter, "iteration count")
+    checks.count(n, "player count", 2)
+    checks.count(k, "action count", 2)
     lo, hi = 1e-9, 1.0 - 1e-9
 
     def gap(d: float) -> float:
-        return lipschitz_constant(n, k, d).value - d
+        return _dispatch(n, k, d).value - d
 
     if gap(lo) <= 0.0 or gap(hi) >= 0.0:
         raise IntegrityError("fixed-point gap does not change sign over (0, 1)")

@@ -373,3 +373,99 @@ def test_nan_tolerance_is_refused_before_bisection(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "delta-star", "--n", "10", "--k", "3", "--tol", "nan")
     assert (code, out) == (1, "")
     assert err.startswith("error: ValueError:") and "tolerance" in err
+
+
+def _strict_json(text):
+    def refuse(constant):
+        raise AssertionError(f"bare {constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (("coupling", "--n", "5", "--k", "3", "--delta", "0.01", "--samples", "1", "--seed", "1",
+          "--json"), "z_score"),
+        (("equilibrium", "--party", "3", "--delta", "0.5", "--epsilon", "inf", "--json"), "epsilon"),
+    ],
+)
+def test_non_finite_floats_are_strict_json(capsys, argv, key):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert _strict_json(out)[key] == "inf"
+    _, text, _ = run_cli(capsys, *argv[:-1])
+    assert parse_kv(text)[key] == "inf"
+
+
+def test_json_renders_every_non_finite_float_as_its_text():
+    payload = {"a": float("inf"), "b": float("-inf"), "c": float("nan"), "d": [float("nan"), 0.5]}
+    doc = _strict_json(lipgames.cli._render(payload, True))
+    assert doc == {"a": "inf", "b": "-inf", "c": "nan", "d": ["nan", 0.5]}
+    assert lipgames.cli._render(payload, False).splitlines()[:3] == ["a = inf", "b = -inf", "c = nan"]
+
+
+def _fresh_process(*argv):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "lipgames.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_reused_parser_does_not_leak_appended_deltas(capsys):
+    first = ("sweep", "--n-start", "4", "--n-stop", "6", "--k", "2", "--delta", "0.3", "--delta", "0.7")
+    second = ("sweep", "--n-start", "4", "--n-stop", "6", "--k", "2", "--delta", "0.5")
+    in_process = [run_cli(capsys, *first), run_cli(capsys, *second)]
+    assert in_process == [_fresh_process(*first), _fresh_process(*second)]
+    assert len(in_process[1][1].splitlines()) == 1 + 3
+
+
+def test_valid_call_after_an_argparse_refusal(capsys):
+    with pytest.raises(SystemExit) as refused:
+        main(["lambda", "--n", "4", "--k", "2"])
+    assert refused.value.code == 2
+    assert "--delta" in capsys.readouterr().err
+    code, out, err = run_cli(capsys, "lambda", "--n", "4", "--k", "2", "--delta", "0.5")
+    assert (code, err) == (0, "")
+    assert parse_kv(out)["lambda"] == "0.3125"
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    build = lipgames.cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(lipgames.cli, "build_parser", counted)
+    lipgames.cli._parser.cache_clear()
+    for delta in ("0.25", "0.5", "0.75"):
+        assert run_cli(capsys, "lambda", "--n", "4", "--k", "2", "--delta", delta)[0] == 0
+    assert run_cli(capsys, "delta-star", "--n", "10", "--k", "3")[0] == 0
+    assert len(built) == 1
+
+
+def test_build_parser_returns_a_new_parser_each_call():
+    assert lipgames.cli.build_parser() is not lipgames.cli.build_parser()
+
+
+def test_import_builds_no_parser():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import lipgames.cli as cli; print(cli._parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "0"
+
+
+def test_nan_tolerance_is_refused_before_the_bisection_route(capsys, monkeypatch):
+    def no_evaluation(*args):
+        raise AssertionError("bisection ran")
+
+    monkeypatch.setattr(lipgames.lipschitz, "_dispatch", no_evaluation)
+    with pytest.raises(AssertionError, match="bisection ran"):
+        lipgames.lipschitz.delta_fixed_point(10, 3)
+    code, out, err = run_cli(capsys, "delta-star", "--n", "10", "--k", "3", "--tol", "nan")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ValueError:") and "tolerance" in err

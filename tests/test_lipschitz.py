@@ -1,7 +1,11 @@
+import inspect
 import math
+import sys
 
 import pytest
 
+import lipgames.lipschitz as lipschitz_module
+from lipgames import checks
 from lipgames import (
     IntegrityError,
     LambdaResult,
@@ -180,3 +184,63 @@ def test_result_validation():
         LambdaResult(0.9, 0.1, 0.2, METHOD_ODD_BRACKET)
     with pytest.raises(ValueError, match="degenerate"):
         LambdaResult(0.15, 0.1, 0.2, METHOD_WALK)
+
+
+@pytest.mark.parametrize("n, k", [(1, 3), (True, 3), (2.0, 3), (10, 1), (10, True), (10, 3.0)])
+def test_fixed_point_refuses_bad_counts_before_evaluating(monkeypatch, n, k):
+    with pytest.raises(ValueError) as expected:
+        lipschitz_constant(n, k, 0.5)
+
+    def no_evaluation(*args):
+        raise AssertionError("bisection ran")
+
+    monkeypatch.setattr(lipschitz_module, "_dispatch", no_evaluation)
+    with pytest.raises(ValueError) as refused:
+        delta_fixed_point(n, k)
+    assert str(refused.value) == str(expected.value)
+
+
+def _checks_called_from_lipschitz(monkeypatch):
+    """Patch every ``checks`` function; returns the names called from lipschitz.py, in order."""
+    names = []
+    for name, fn in list(vars(checks).items()):
+        if inspect.isfunction(fn):
+
+            def recorded(*args, _name=name, _fn=fn, **kwargs):
+                if sys._getframe(1).f_code.co_filename == lipschitz_module.__file__:
+                    names.append(_name)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(checks, name, recorded)
+    return names
+
+
+@pytest.mark.parametrize("n, k", [(2001, 2), (255, 2), (2000, 2), (200, 2), (2000, 3)])
+def test_one_instance_check_per_evaluation(monkeypatch, n, k):
+    names = _checks_called_from_lipschitz(monkeypatch)
+    lipschitz_constant(n, k, 0.3)
+    assert names == ["instance"]
+
+
+def test_bisection_checks_its_arguments_once(monkeypatch):
+    names = _checks_called_from_lipschitz(monkeypatch)
+    delta_fixed_point(309, 2)
+    assert names == ["bound", "count", "count", "count"]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n, delta: asymptotic_estimate(n, 3, delta),
+        lambda n, delta: lipschitz_multi_action(n, 3, delta),
+        lipschitz_two_action,
+        lipschitz_two_action_even,
+        two_action_odd_bracket,
+        lambda n, delta: lipschitz_constant(n, 2, delta),
+    ],
+)
+def test_public_routes_keep_their_checks(call):
+    for n, delta, match in ((True, 0.5, "player count"), (2.5, 0.5, "player count"),
+                            (0, 0.5, "player count"), (4, 0.0, "delta"), (3, float("nan"), "delta")):
+        with pytest.raises(ValueError, match=match):
+            call(n, delta)
