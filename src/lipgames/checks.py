@@ -29,9 +29,9 @@ def index(value, size: int, name: str = "action") -> int:
     return int(value)
 
 
-def delta(value) -> None:
-    if not 0.0 < value < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {value!r}")
+def delta(value, zero_ok: bool = False) -> None:
+    if not (0.0 < value < 1.0 or zero_ok and value == 0.0):
+        raise ValueError(f"delta must lie in {'[' if zero_ok else '('}0, 1), got {value!r}")
 
 
 def rate(value) -> None:

@@ -271,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance(p)
     p.add_argument("--method", choices=("formula", "oracle", "both"), default="formula")
     _add_json_flag(p)
-    p.set_defaults(func=cmd_lambda)
 
     p = sub.add_parser("sweep", help="tabulate the constant over a parameter grid")
     p.add_argument("--n-start", type=int, required=True)
@@ -282,11 +281,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="repeatable; one column group per value")
     p.add_argument("--output", default="-", help="file path, or - for stdout")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_sweep)
 
-    for name, help_text, func in (
-        ("coupling", "Monte Carlo mirror coupling vs the exact walk value", cmd_coupling),
-        ("meet-time", "histogram of the chains' first meeting step", cmd_meet_time),
+    for name, help_text in (
+        ("coupling", "Monte Carlo mirror coupling vs the exact walk value"),
+        ("meet-time", "histogram of the chains' first meeting step"),
     ):
         p = sub.add_parser(name, help=help_text)
         _add_instance(p)
@@ -295,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--baseline", type=int, default=None,
                        help="baseline action of the unperturbed players")
         _add_json_flag(p)
-        p.set_defaults(func=func)
 
     p = sub.add_parser("equilibrium", help="exhaustive search for a pure eps-equilibrium")
     p.add_argument("--game", help="JSON game file (fields n, k, payoffs)")
@@ -306,17 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help='regret bound, or "auto" for 2*k*lambda(n,k,delta)')
     p.add_argument("--profile-budget", type=int, default=gm.DEFAULT_PROFILE_BUDGET)
     _add_json_flag(p)
-    p.set_defaults(func=cmd_equilibrium)
 
     p = sub.add_parser("delta-star", help="solve lambda(n,k,delta) = delta by bisection")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-10)
     _add_json_flag(p)
-    p.set_defaults(func=cmd_delta_star)
 
-    p = sub.add_parser("verify", help="compare the closed forms against the brute-force oracle")
-    p.set_defaults(func=cmd_verify)
+    sub.add_parser("verify", help="compare the closed forms against the brute-force oracle")
 
     return parser
 
@@ -330,7 +324,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     ns = _parser().parse_args(argv)
     try:
-        code, text = ns.func(ns)
+        # Looked up per call, so a replaced cmd_* function is the one that runs.
+        code, text = globals()["cmd_" + ns.command.replace("-", "_")](ns)
         _write(text, getattr(ns, "output", "-"))
         return code
     except (ValueError, IntegrityError, OSError, json.JSONDecodeError, MemoryError) as exc:

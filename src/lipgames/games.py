@@ -82,11 +82,6 @@ def _check_profile(game: AnonymousGame, profile: Sequence[int]) -> tuple[int, ..
     return profile
 
 
-def _check_delta(delta: float) -> None:
-    if not 0.0 <= delta < 1.0:
-        raise ValueError(f"delta must lie in [0, 1), got {delta!r}")
-
-
 def _declared_values(
     game: AnonymousGame, profile, player: int, delta: float, memo: dict
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -121,7 +116,7 @@ def _declared_values(
 def perturbed_payoff(game: AnonymousGame, profile: Sequence[int], player: int, delta: float) -> float:
     """Exact expected payoff of ``player`` when every action is delta-perturbed."""
     profile = _check_profile(game, profile)
-    _check_delta(delta)
+    checks.delta(delta, zero_ok=True)
     checks.index(player, game.n, "player")
     return float(_declared_values(game, profile, player, delta, {})[1][profile[player]])
 
@@ -139,7 +134,7 @@ def regret(game: AnonymousGame, profile: Sequence[int], delta: float) -> RegretR
     because staying put is always a candidate deviation.
     """
     profile = _check_profile(game, profile)
-    _check_delta(delta)
+    checks.delta(delta, zero_ok=True)
     return _regret(game, profile, delta, {})
 
 
@@ -165,7 +160,7 @@ def regret_in_unperturbed(game: AnonymousGame, profile: Sequence[int], delta: fl
     perturbed game, this never exceeds delta + eps.
     """
     profile = _check_profile(game, profile)
-    _check_delta(delta)
+    checks.delta(delta, zero_ok=True)
     return _regret(game, profile, delta, {}).unperturbed_regret
 
 
@@ -182,7 +177,7 @@ def find_eps_nash(
     the delta-perturbed game exists.  Instances with more than
     ``profile_budget`` profiles are refused.
     """
-    _check_delta(delta)
+    checks.delta(delta, zero_ok=True)
     checks.bound(eps, "eps", zero_ok=True)
     profile_budget = checks.count(profile_budget, "profile budget")
     total = game.k**game.n

@@ -88,8 +88,9 @@ def lipschitz_two_action(n: int, delta: float) -> LambdaResult:
     """Exact two-action constant for any n, even or odd.
 
     ``(1 - delta)`` times the split Bernoulli maximum over n - 2 terms.
-    The split scan costs O(n^3); prefer :func:`lipschitz_two_action_even`
-    for large even n.
+    The split scan costs O(n^3) and refuses n - 2 above
+    :data:`~lipgames.poisson_binomial.SPLIT_SCAN_LIMIT`; prefer
+    :func:`lipschitz_two_action_even` for large even n.
     """
     checks.instance(n, 2, delta)
     value = _two_action(n, delta)

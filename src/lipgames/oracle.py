@@ -118,18 +118,19 @@ class CountDistribution:
 def _fold(probs: np.ndarray, t: int, law: np.ndarray, k: int) -> np.ndarray:
     """Occupancy law of ``t + 1`` players from that of the first ``t`` and the next player's law.
 
-    The scatter order over actions is fixed, so equal inputs give
-    bit-identical outputs whichever caller folds them.
+    ``probs`` and ``law`` may be batches, one law per row.  The scatter
+    order over actions is fixed, so equal inputs give bit-identical outputs
+    whichever caller folds them.
     """
     maps = _add_action_maps(t, k)
-    nxt = np.zeros(math.comb(t + k, k - 1))
+    nxt = np.zeros(probs.shape[:-1] + (math.comb(t + k, k - 1),))
     for j in range(k):
-        nxt[maps[j]] += law[j] * probs
+        nxt[..., maps[j]] += law[..., j, None] * probs
     return nxt
 
 
-def _action_laws(k: int, delta: float) -> list[np.ndarray]:
-    return [perturbed_action_law(j, k, delta) for j in range(k)]
+def _action_laws(k: int, delta: float) -> np.ndarray:
+    return np.array([perturbed_action_law(j, k, delta) for j in range(k)])
 
 
 def count_distribution(profile: Sequence[int], k: int, delta: float) -> CountDistribution:
@@ -148,13 +149,13 @@ def count_distribution(profile: Sequence[int], k: int, delta: float) -> CountDis
     return CountDistribution(len(actions), k, probs)
 
 
-def _shift_tv(probs: np.ndarray, m: int, k: int, j1: int, j2: int) -> float:
-    """TV distance between the law ``probs`` of m players plus one on j1 vs on j2."""
+def _shift_tv(probs: np.ndarray, m: int, k: int, j1: int, j2: int) -> np.ndarray:
+    """TV distance between the law ``probs`` of m players plus one on j1 vs on j2, per row."""
     maps = _add_action_maps(m, k)
-    diff = np.zeros(math.comb(m + k, k - 1))
-    diff[maps[j1]] = probs
-    diff[maps[j2]] -= probs
-    return 0.5 * float(np.abs(diff).sum())
+    diff = np.zeros(probs.shape[:-1] + (math.comb(m + k, k - 1),))
+    diff[..., maps[j1]] = probs
+    diff[..., maps[j2]] -= probs
+    return 0.5 * np.abs(diff, out=diff).sum(axis=-1)
 
 
 def shifted_tv(dist: CountDistribution, j1: int, j2: int) -> float:
@@ -163,7 +164,7 @@ def shifted_tv(dist: CountDistribution, j1: int, j2: int) -> float:
     checks.index(j2, dist.k)
     if j1 == j2:
         return 0.0
-    return _shift_tv(dist.probs, dist.m, dist.k, j1, j2)
+    return float(_shift_tv(dist.probs, dist.m, dist.k, j1, j2))
 
 
 class OracleResult(NamedTuple):
@@ -184,10 +185,11 @@ def lipschitz_oracle(
     exact ties are not decided by rounding noise.  Instances whose
     ``classes x states`` product exceeds ``cell_budget`` are refused.
 
-    Each class's law is folded in the same player order as
-    :func:`count_distribution`, so its value is bit-identical to building
-    the law from scratch, but classes that share a prefix of counts share
-    the folds of that prefix: ``C(n - 2 + k, k)`` fold steps in all.
+    Laws are folded one depth (player count) at a time, every prefix of
+    that depth a row of one array, in :func:`count_distribution`'s player
+    order, so values are bit-identical to folding each class alone.  A
+    depth is held whole, so the cell budget bounds memory too: under 40
+    bytes per cell, about 400 MB at the default budget.
     """
     checks.instance(n, k, delta)
     cell_budget = checks.count(cell_budget, "cell budget")
@@ -198,24 +200,16 @@ def lipschitz_oracle(
             f"oracle instance needs {cells} cells, over the budget of {cell_budget}"
         )
     laws = _action_laws(k, delta)
-    tvs = []
-
-    # Depth-first over the composition tree in lexicographic class order:
-    # classes sharing the counts of actions 0..j share the law after those
-    # players, so each tree edge is one fold and no class starts from scratch.
-    def descend(probs: np.ndarray, folded: int, action: int) -> None:
-        if action == k - 1:
-            for t in range(folded, m):
-                probs = _fold(probs, t, laws[action], k)
-            tvs.append(_shift_tv(probs, m, k, 0, 1))
-            return
-        for t in range(folded, m + 1):
-            descend(probs, t, action + 1)
-            if t < m:
-                probs = _fold(probs, t, laws[action], k)
-
-    descend(np.array([1.0]), 0, 0)
-    values = np.array(tvs)
+    # Row r of depth t: the first t sorted players of the classes starting
+    # with the r-th composition of t.  A child adds one player of an action
+    # at least its parent's largest, so each prefix is folded once, in order.
+    probs, last = np.ones((1, 1)), np.zeros(1, dtype=np.int64)
+    for t in range(m):
+        actions, parents = np.nonzero(last <= np.arange(k)[:, None])
+        order = np.argsort(_add_action_maps(t, k)[actions, parents])
+        actions, probs = actions[order], probs[parents[order]]
+        probs, last = _fold(probs, t, laws[actions], k), actions
+    values = _shift_tv(probs, m, k, 0, 1)
     best = float(values.max())
     witness = count_vectors(m, k)[int(np.argmax(values >= best - 1e-12))]
     return OracleResult((1.0 - delta) * best, witness)

@@ -447,6 +447,21 @@ def test_main_builds_the_parser_once(capsys, monkeypatch):
     assert len(built) == 1
 
 
+def test_main_runs_a_command_replaced_after_the_parser_is_built(capsys, monkeypatch):
+    assert run_cli(capsys, "lambda", "--n", "4", "--k", "2", "--delta", "0.5")[0] == 0
+    seen = []
+
+    def replaced(ns):
+        seen.append((ns.command, ns.n))
+        return 3, "replaced\n"
+
+    monkeypatch.setattr(lipgames.cli, "cmd_lambda", replaced)
+    monkeypatch.setattr(lipgames.cli, "cmd_meet_time", replaced)
+    assert run_cli(capsys, "lambda", "--n", "4", "--k", "2", "--delta", "0.5") == (3, "replaced\n", "")
+    assert run_cli(capsys, "meet-time", "--n", "5", "--k", "3", "--delta", "0.3")[:2] == (3, "replaced\n")
+    assert seen == [("lambda", 4), ("meet-time", 5)]
+
+
 def test_build_parser_returns_a_new_parser_each_call():
     assert lipgames.cli.build_parser() is not lipgames.cli.build_parser()
 

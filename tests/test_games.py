@@ -310,3 +310,14 @@ def test_nan_payoffs_are_refused():
 def test_bool_player_is_refused():
     with pytest.raises(ValueError, match="player"):
         perturbed_payoff(random_game(3, 2, seed=0), (0, 1, 1), True, 0.5)
+
+
+@pytest.mark.parametrize("delta", (float("nan"), -0.1, 1.0), ids=("nan", "negative", "one"))
+def test_game_delta_outside_zero_to_one_is_refused(delta):
+    game, profile = random_game(3, 2, seed=0), (0, 1, 1)
+    for call in (lambda: perturbed_payoff(game, profile, 0, delta),
+                 lambda: regret(game, profile, delta),
+                 lambda: regret_in_unperturbed(game, profile, delta),
+                 lambda: find_eps_nash(game, delta, 0.1)):
+        with pytest.raises(ValueError, match=rf"^delta must lie in \[0, 1\), got {delta!r}$"):
+            call()

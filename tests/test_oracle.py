@@ -186,6 +186,22 @@ def test_oracle_leaves_only_the_add_action_maps_behind():
     assert kept <= 2 * maps
 
 
+def test_oracle_peak_memory_stays_under_forty_bytes_per_cell():
+    # The oracle holds one depth of prefix laws whole, so the cell budget
+    # bounds its memory too; the bound is the one its docstring states.
+    n, k = 200, 2
+    cells = math.comb(n - 2 + k - 1, k - 1) * math.comb(n - 2 + k, k - 1)
+    lipschitz_oracle(n, k, 0.3)  # the cached index maps are not part of a call
+    gc.collect()
+    tracemalloc.start()
+    try:
+        lipschitz_oracle(n, k, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * cells
+
+
 def test_oracle_rejects_bad_arguments():
     with pytest.raises(ValueError):
         lipschitz_oracle(1, 3, 0.5)
@@ -209,10 +225,14 @@ def _oracle_by_class(n, k, delta):
     return (1.0 - delta) * best, classes[int(ties[0])], len(ties)
 
 
+#: The oracle sizes of the benchmark's exact-small requests, by k.
+BENCHMARK_SIZES = {2: (43, 56), 3: (18,), 4: (11,)}
+
+
 @pytest.mark.parametrize("k", (2, 3, 4, 5))
 @pytest.mark.parametrize("delta", (0.1, 0.5, 0.85))
 def test_oracle_matches_per_class_loop_bitwise(k, delta):
-    for n in range(2, 13):
+    for n in (*range(2, 13), *BENCHMARK_SIZES.get(k, ())):
         value, witness, _ = _oracle_by_class(n, k, delta)
         result = lipschitz_oracle(n, k, delta)
         assert result.value == value

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lipgames import (
+    BudgetExceededError,
     IntegrityError,
     binomial_collision_prob,
     normal_approx_error,
@@ -15,6 +16,7 @@ from lipgames import (
     two_block_max_prob,
     unit_shift_tv,
 )
+from lipgames import lipschitz, lipschitz_two_action, poisson_binomial
 
 import brute
 
@@ -212,6 +214,26 @@ def test_rejects_bad_delta():
             binomial_collision_prob(3, delta)
     with pytest.raises(ValueError):
         two_block_max_prob(-1, 0.5)
+
+
+def test_split_scan_limit_is_checked_before_running(monkeypatch):
+    limit = poisson_binomial.SPLIT_SCAN_LIMIT
+    # every route that scans stays inside the limit: the dispatcher's exact
+    # two-action range, verify (n <= 12), these tests and demo 02
+    assert limit >= lipschitz.TWO_ACTION_EXACT_LIMIT - 2
+    for call in (lambda: two_block_max_prob(limit + 1, 0.3),
+                 lambda: lipschitz_two_action(limit + 3, 0.3),
+                 lambda: lipschitz_two_action(10**5, 0.3)):
+        with pytest.raises(BudgetExceededError, match="split scan"):
+            call()
+    at_limit = two_block_max_prob(5, 0.3)
+    monkeypatch.setattr(poisson_binomial, "SPLIT_SCAN_LIMIT", 5)
+    assert two_block_max_prob(5, 0.3) == at_limit
+    assert lipschitz_two_action(7, 0.3).value > 0.0
+    with pytest.raises(BudgetExceededError):
+        two_block_max_prob(6, 0.3)
+    with pytest.raises(BudgetExceededError):
+        lipschitz_two_action(8, 0.3)
 
 
 @settings(max_examples=80, deadline=None)
