@@ -26,9 +26,9 @@ METHOD_EVEN_WALK = "even-walk"
 METHOD_ODD_BRACKET = "odd-bracket"
 METHOD_ORACLE = "oracle"
 
-#: Largest n for which the dispatcher runs the O(n^3) exact split maximum
-#: for two-action games.  Beyond it, even n uses the equivalent walk
-#: formula and odd n reports the bracket midpoint.
+#: Largest n for which the dispatcher runs the O(n^2) exact split maximum
+#: for two-action games.  Beyond it, even n uses the equivalent O(n)
+#: collision formula and odd n reports the bracket midpoint.
 TWO_ACTION_EXACT_LIMIT = 256
 
 _BRACKET_SLACK = 1e-9
@@ -88,8 +88,8 @@ def lipschitz_two_action(n: int, delta: float) -> LambdaResult:
     """Exact two-action constant for any n, even or odd.
 
     ``(1 - delta)`` times the split Bernoulli maximum over n - 2 terms.
-    The split scan costs O(n^3) and refuses n - 2 above
-    :data:`~lipgames.poisson_binomial.SPLIT_SCAN_LIMIT`; prefer
+    The split scan costs O(n^2) and refuses n - 2 above
+    :data:`~lipgames.poisson_binomial.SPLIT_SCAN_LIMIT`; prefer the O(n)
     :func:`lipschitz_two_action_even` for large even n.
     """
     checks.instance(n, 2, delta)

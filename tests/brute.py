@@ -2,7 +2,9 @@
 
 Everything here enumerates outcome spaces directly (increment sequences,
 Bernoulli words, full action profiles) and never calls into the library's
-dynamic programs, so agreement is meaningful.
+dynamic programs, so agreement is meaningful.  The one exception is
+:func:`split_scan`, the O(n^3) convolution scan the library's split maximum
+replaced, kept as its cross-check at sizes enumeration cannot reach.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from lipgames import count_vector_rank
+from lipgames.poisson_binomial import TIE_TOL
 
 
 def walk_law(n, r):
@@ -84,6 +87,33 @@ def two_block_value(n, delta):
             elif value == best:
                 argmax.append((split, point))
     return best, argmax
+
+
+def _bernoulli_sum_pmfs(n, p):
+    """Pmfs of Binomial(l, p) for every l in 0..n, by incremental convolution."""
+    out = [np.array([1.0])]
+    kernel = np.array([1.0 - p, p])
+    for _ in range(n):
+        out.append(np.convolve(out[-1], kernel))
+    return out
+
+
+def split_scan(n, delta):
+    """Split-sum maximum by convolving every split's full pmf, O(n^3).
+
+    Returns ``(value, split, point)`` under the library's tie rule: values
+    within ``TIE_TOL`` of the maximum tie, and ties go to the larger split,
+    then to the smaller outcome.
+    """
+    q = 0.5 * delta
+    successes = _bernoulli_sum_pmfs(n, q)
+    failures = _bernoulli_sum_pmfs(n, 1.0 - q)
+    pmfs = [np.convolve(successes[split], failures[n - split]) for split in range(n + 1)]
+    peaks = np.array([pmf.max() for pmf in pmfs])
+    best = float(peaks.max())
+    split = n - int(np.argmax(peaks[::-1] >= best - TIE_TOL))
+    pmf = pmfs[split]
+    return best, split, int(np.argmax(pmf >= pmf.max() - TIE_TOL))
 
 
 def collision_exact(n, delta):

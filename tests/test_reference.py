@@ -1,22 +1,28 @@
-"""The O(n) closed forms against 30-digit references and the dynamic programs.
+"""The fast exact routes against 30-digit references and the slow routes.
 
 ``passage_prob`` and ``binomial_collision_prob`` are O(n) sums built on
-``binomial_probs``; here they are held to a stated relative error bound
-against mpmath sums of the same definitions, and ``passage_prob`` is tied to
-the independent ``walk_pmf`` dynamic program.
+``binomial_probs``, and ``two_block_max_prob`` is an O(n^2) scan of the
+points next to each split's mean; here they are held to a stated relative
+error bound against mpmath evaluations of the same definitions,
+``passage_prob`` is tied to the independent ``walk_pmf`` dynamic program, and
+the split scan to the O(n^3) convolution scan it replaced.
 """
 
 import functools
 import math
+import tracemalloc
 
 import mpmath
 import pytest
 
-from lipgames import binomial_collision_prob, passage_prob, walk_pmf
+from lipgames import binomial_collision_prob, passage_prob, two_block_max_prob, walk_pmf
 from lipgames.integer_pmf import binomial_probs
 
+import brute
+
 #: Largest relative error accepted against the 30-digit references; the
-#: largest measured on this grid is about 3.3e-15 (passage, m = 16384).
+#: largest measured on these grids is about 5.8e-14 (split maximum, m = 1023,
+#: delta = 0.61), about 3.3e-15 for the O(n) sums (passage, m = 16384).
 REL_BOUND = 1e-13
 #: Largest absolute gap accepted between the closed form and the walk DP.
 DP_TOL = 1e-12
@@ -24,6 +30,10 @@ DP_TOL = 1e-12
 STEPS = (1, 50, 2000, 16384)
 RATES = (0.01, 0.1, 0.25, 0.5, 2 / 3, 0.9, 1.0)
 DELTAS = (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
+#: Split-scan cases: three deltas at small and medium m, one at m = 1023.
+SPLIT_CASES = [(m, delta) for m in (1, 51, 253) for delta in (0.1, 0.37, 0.95)] + [(1023, 0.61)]
+#: The cross-check deltas, with the delta-star bisection endpoints.
+SCAN_DELTAS = (1e-9, 0.01, 0.1, 0.37, 0.5, 0.61, 0.95, 1 - 1e-9)
 
 
 @functools.lru_cache(maxsize=None)
@@ -59,6 +69,39 @@ def collision_reference(m, delta):
         return total
 
 
+def _split_point(l, r, t, q):
+    """P(Bin(l, q) + Bin(r, 1 - q) = t) as a terminating 2F1 series.
+
+    The sum over the first block's count a has terms
+    C(l, a) C(r, t - a) q^(r - t + 2a) (1 - q)^(l + t - 2a), whose ratio is a
+    rational function of a times z = (q / (1 - q))^2; it starts at
+    a = max(0, t - r).
+    """
+    p = 1 - q
+    z = (q / p) ** 2
+    if t <= r:
+        return mpmath.binomial(r, t) * q ** (r - t) * p ** (l + t) * mpmath.hyp2f1(-l, -t, r - t + 1, z)
+    head = mpmath.binomial(l, t - r) * q ** (t - r) * p ** (l - t + 2 * r)
+    return head * mpmath.hyp2f1(-(l - t + r), -r, t - r + 1, z)
+
+
+@functools.lru_cache(maxsize=None)
+def split_reference(m, delta):
+    """Largest point probability over every split of m terms at 30 digits.
+
+    Each split's law peaks within one of its mean (Darroch 1964), so only the
+    points from floor(mean) - 1 to ceil(mean) + 1 are evaluated.
+    """
+    with mpmath.workdps(30):
+        q = mpmath.mpf(delta) / 2
+        best = mpmath.mpf(0)
+        for l in range(m + 1):
+            mean = l * delta / 2 + (m - l) * (1 - delta / 2)
+            for t in range(max(0, math.floor(mean) - 1), min(m, math.ceil(mean) + 1) + 1):
+                best = max(best, _split_point(l, m - l, t, q))
+        return best
+
+
 @pytest.mark.parametrize("m", STEPS)
 @pytest.mark.parametrize("r", RATES)
 def test_passage_within_bound_of_reference(m, r):
@@ -71,6 +114,41 @@ def test_passage_within_bound_of_reference(m, r):
 def test_collision_within_bound_of_reference(m, delta):
     ref = collision_reference(m, delta)
     assert abs(binomial_collision_prob(m, delta) - ref) <= REL_BOUND * ref
+
+
+@pytest.mark.parametrize("m,delta", SPLIT_CASES)
+def test_split_max_within_bound_of_reference(m, delta):
+    ref = split_reference(m, delta)
+    assert abs(two_block_max_prob(m, delta).value - ref) <= REL_BOUND * ref
+
+
+@pytest.mark.parametrize("delta", (0.25, 0.5, 0.75))
+def test_split_reference_matches_exact_enumeration(delta):
+    for m in range(0, 7):
+        best, _ = brute.two_block_value(m, delta)
+        assert abs(split_reference(m, delta) - mpmath.mpf(best.numerator) / best.denominator) <= 1e-25
+
+
+@pytest.mark.parametrize("delta", SCAN_DELTAS)
+def test_split_scan_matches_convolution_scan(delta):
+    for m in range(0, 301):
+        value, split, point = brute.split_scan(m, delta)
+        result = two_block_max_prob(m, delta)
+        assert (result.split, result.point) == (split, point), m
+        assert abs(result.value - value) <= 1e-13 * value, m
+
+
+def test_split_scan_peak_memory_stays_under_twelve_bytes_per_square_term():
+    # a Binomial row per term count and one window per scanned split, about
+    # 10.1 bytes per m^2 at m = 1000; the convolution scan took 16.4
+    m = 1000
+    tracemalloc.start()
+    try:
+        two_block_max_prob(m, 0.37)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * m * m
 
 
 @pytest.mark.parametrize("r", (0.05, 0.5, 1.0))
