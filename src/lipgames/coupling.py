@@ -14,14 +14,20 @@ Reproducibility contract: replications are processed in fixed blocks of
 ``SeedSequence(seed, spawn_key=(b,))``, and draws inside a block follow a
 fixed step-major order (per step, the block's uniforms, then its actions).
 Results are therefore bit-identical for a given
-``(n, k, delta, samples, seed)`` no matter how blocks are scheduled.
+``(n, k, delta, samples, seed)`` no matter how blocks are scheduled or cut.
 
 One private kernel walks a block's gap chains; the three public functions
 differ only in the per-step tally they hand it.  A request with more than
-one block runs them on the calling thread (even blocks) and, when the
-process may use two CPUs, one helper thread (odd blocks).  numpy releases
-the GIL inside generator fills and large ufunc loops, so the two overlap;
-the per-block results are combined in block order.  Requests above
+one block runs on the calling thread and, when the process may use two
+CPUs, one helper thread: the caller walks the first half of the
+replications and the helper the rest, so the block holding the cut is
+walked as two pieces.  Each piece draws from its own generator for the
+block and skips the other piece's share of every step with
+``bit_generator.advance``; a piece whose generator does not end where that
+arithmetic puts it (an action draw was rejected and redrawn) makes the
+caller walk the block again whole.  numpy releases the GIL inside
+generator fills and large ufunc loops, so the two threads overlap; the
+results are combined in replication order.  Requests above
 ``MAX_REP_STEPS`` replication steps (samples times steps) are refused
 with :class:`~lipgames.errors.BudgetExceededError` before anything is
 allocated.
@@ -105,30 +111,49 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,))))
 
 
-def _walk_block(n: int, k: int, delta: float, seed: int, block: int, size: int, tally=None) -> int:
-    """Walk the gap chains of one block for n steps; return how many never met.
+class _StreamSlip(Exception):
+    """A piece's generator left the no-rejection layout of its block."""
+
+
+def _walk_block(
+    n: int, k: int, delta: float, seed: int, block: int, size: int, lo: int, hi: int, tally=None
+) -> int:
+    """Walk replications [lo, hi) of a block of ``size`` for n steps; return how many never met.
 
     Before each step's gap update, ``tally(step, chi, u, alive, up, down)``
     sees the step's perturbation flags and actions, the chains still apart
-    and the pre-meeting down and up moves.  The arrays are reused between
-    steps.  ``integers(..., dtype=np.int32)`` and chunked ``random(out=)``
-    draw the same values and leave the same generator state as the
-    default int64 draw and one full-size call (pinned by the tests).
+    and the pre-meeting down and up moves, each ``hi - lo`` long.  The
+    arrays are reused between steps.  ``integers(..., dtype=np.int32)`` and
+    chunked ``random(out=)`` draw the same values and leave the same
+    generator state as the default int64 draw and one full-size call
+    (pinned by the tests).
+
+    A piece (less than the whole block; ``size``, ``lo`` and ``hi`` even) skips
+    the other replications of every step: a uniform is one 64-bit output
+    and two int32 actions share one.  That holds while no action draw is
+    rejected, so a piece whose generator does not end at ``n * 3 * size / 2``
+    outputs raises :class:`_StreamSlip`.
     """
     rng = _block_rng(seed, block)
-    uniforms = np.empty(min(size, _CHUNK))
-    chi, active, up, down = (np.empty(size, dtype=bool) for _ in range(4))
-    alive = np.ones(size, dtype=bool)
+    width = hi - lo
+    # advance() drops a buffered half output, so a whole block never calls it.
+    advance = rng.bit_generator.advance if width < size else lambda outputs: None
+    uniforms = np.empty(min(width, _CHUNK))
+    chi, active, up, down = (np.empty(width, dtype=bool) for _ in range(4))
+    alive = np.ones(width, dtype=bool)
     # The gap starts at 0, stays <= 0 while the chains differ and freezes
     # at 1 when they meet, so alive means gap < 1 and the gap fits in the
     # smallest signed type holding -n.
-    gap = np.zeros(size, dtype=np.min_scalar_type(-max(n, 1)))
+    gap = np.zeros(width, dtype=np.min_scalar_type(-max(n, 1)))
     for step in range(n):
-        for lo in range(0, size, _CHUNK):
-            part = uniforms[: min(_CHUNK, size - lo)]
+        advance(lo)
+        for start in range(0, width, _CHUNK):
+            part = uniforms[: min(_CHUNK, width - start)]
             rng.random(out=part)
-            np.less(part, delta, out=chi[lo : lo + part.size])
-        u = rng.integers(0, k, size, dtype=np.int32)
+            np.less(part, delta, out=chi[start : start + part.size])
+        advance(size - hi + lo // 2)
+        u = rng.integers(0, k, width, dtype=np.int32)
+        advance((size - hi) // 2)
         np.logical_and(chi, alive, out=active)
         np.equal(u, 1, out=up)
         up &= active
@@ -139,6 +164,11 @@ def _walk_block(n: int, k: int, delta: float, seed: int, block: int, size: int, 
         gap += up
         gap -= down
         np.less(gap, 1, out=alive)
+    if width < size:
+        expected = _block_rng(seed, block).bit_generator.advance(n * (size + size // 2)).state
+        state = rng.bit_generator.state
+        if (state["state"], state["has_uint32"]) != (expected["state"], expected["has_uint32"]):
+            raise _StreamSlip
     return int(np.count_nonzero(alive))
 
 
@@ -151,37 +181,50 @@ def _cpu_count() -> int:
 
 
 def _map_blocks(samples: int, run) -> list:
-    """``run(block, size)`` for every block of a request, in block order.
+    """``run(block, size, lo, hi)`` over the replications of a request, in order.
 
-    With more than one block and at least two usable CPUs, a helper thread
-    takes the odd blocks while the caller takes the even ones.  Whichever
-    side fails first stops the other after its current block, and an error
-    raised in the helper re-raises here.  The helper must reach only
-    private helpers and numpy: span tracers wrap the public functions and
-    expect them on the calling thread.
+    A call walks replications [lo, hi) of ``block``, which holds ``size``.
+    With one block or one usable CPU every block is walked whole on the
+    calling thread.  Otherwise the caller walks replications [0, h) and a
+    helper thread [h, samples), where h is half the request rounded down to
+    even; the block holding h, always a full one, is walked as two pieces.
+    If either piece's stream slipped (:class:`_StreamSlip`), both piece
+    results are dropped and the caller walks that block again whole.
+    Whichever side fails first stops the other after its current call, and
+    an error raised in the helper re-raises here.  The helper must reach
+    only private helpers and numpy: span tracers wrap the public functions
+    and expect them on the calling thread.
     """
     sizes = _block_sizes(samples)
     if len(sizes) == 1 or _cpu_count() < 2:
-        return [run(block, size) for block, size in enumerate(sizes)]
-    results = [None] * len(sizes)
+        return [run(block, size, 0, size) for block, size in enumerate(sizes)]
+    half = samples // 4 * 2
+    mine: list = []
+    theirs: list = []
     failed: list = []
+    slipped: list = []
 
-    def work(first: int) -> None:
-        for block in range(first, len(sizes), 2):
+    def work(first: int, last: int, results: list) -> None:
+        for block in range(first // BLOCK_SIZE, -(-last // BLOCK_SIZE)):
             if failed:
                 return
-            results[block] = run(block, sizes[block])
+            base, size = block * BLOCK_SIZE, sizes[block]
+            try:
+                results.append(run(block, size, max(first - base, 0), min(last - base, size)))
+            except _StreamSlip:
+                slipped.append(block)
+                results.append(None)
 
     def helper() -> None:
         try:
-            work(1)
+            work(half, samples, theirs)
         except BaseException as exc:
             failed.append(exc)
 
     thread = threading.Thread(target=helper, name="lipgames-coupling", daemon=True)
     thread.start()
     try:
-        work(0)
+        work(0, half, mine)
     except BaseException:
         failed.append(None)
         raise
@@ -189,7 +232,10 @@ def _map_blocks(samples: int, run) -> list:
         thread.join()
     if failed:
         raise failed[0]
-    return results
+    if slipped:  # the pieces are the caller's last call and the helper's first
+        mine[-1] = run(half // BLOCK_SIZE, BLOCK_SIZE, 0, BLOCK_SIZE)
+        del theirs[0]
+    return mine + theirs
 
 
 def simulate_coupling(
@@ -203,8 +249,8 @@ def simulate_coupling(
     k >= 3 and on action 0 for k = 2.  ``n = 0`` returns exactly 1.
     """
     n, k, delta, samples, seed, _ = _check_params(n, k, delta, samples, seed, baseline)
-    def run(block, size):
-        return _walk_block(n, k, delta, seed, block, size)
+    def run(block, size, lo, hi):
+        return _walk_block(n, k, delta, seed, block, size, lo, hi)
 
     never = sum(_map_blocks(samples, run))
     estimate = never / samples
@@ -224,7 +270,7 @@ def simulate_meet_time(
     """
     n, k, delta, samples, seed, _ = _check_params(n, k, delta, samples, seed, baseline)
 
-    def run(block, size):
+    def run(block, size, lo, hi):
         # tallies[s] chains are still apart before step s + 1 (s = n: they
         # never met); the last two entries count the down and up moves.
         tallies = np.zeros(n + 3, dtype=np.int64)
@@ -234,7 +280,7 @@ def simulate_meet_time(
             tallies[n + 1] += np.count_nonzero(down)
             tallies[n + 2] += np.count_nonzero(up)
 
-        tallies[n] = _walk_block(n, k, delta, seed, block, size, tally)
+        tallies[n] = _walk_block(n, k, delta, seed, block, size, lo, hi, tally)
         return tallies
 
     tallies = sum(_map_blocks(samples, run))
@@ -258,9 +304,9 @@ def mirrored_action_counts(
     """
     n, k, delta, samples, seed, baseline = _check_params(n, k, delta, samples, seed, baseline)
 
-    def run(block, size):
+    def run(block, size, lo, hi):
         table = np.zeros((n, k), dtype=np.int64)
-        drawn = np.empty(size, dtype=bool)
+        drawn = np.empty(hi - lo, dtype=bool)
 
         def tally(step, chi, u, alive, up, down):
             # Tally the unmirrored perturbed draws, then move the live
@@ -269,12 +315,12 @@ def mirrored_action_counts(
             for j in range(k):
                 np.logical_and(np.equal(u, j, out=drawn), chi, out=drawn)
                 row[j] = np.count_nonzero(drawn)
-            row[baseline] += size - np.count_nonzero(chi)
+            row[baseline] += hi - lo - np.count_nonzero(chi)
             moved = np.count_nonzero(up) - np.count_nonzero(down)
             row[0] += moved
             row[1] -= moved
 
-        _walk_block(n, k, delta, seed, block, size, tally)
+        _walk_block(n, k, delta, seed, block, size, lo, hi, tally)
         return table
 
     table = np.zeros((n, k), dtype=np.int64)

@@ -288,34 +288,121 @@ def test_chunked_uniform_draw_matches_one_call(size):
         chunked.integers(0, 3, 3, dtype=np.int32)
 
 
+def _position(rng):
+    """Where a generator stands: its PCG64 state and whether half an output is buffered."""
+    state = rng.bit_generator.state
+    return state["state"], state["has_uint32"]
+
+
+@pytest.mark.parametrize("size", (2, 8192, BLOCK_SIZE))
+@pytest.mark.parametrize("k", (2, 3, 5, 7))
+def test_piece_skips_reproduce_the_unsplit_stream(k, size):
+    """A piece skips the other's share with advance(): one output per uniform, two actions per output.
+
+    If numpy changed this layout, every split block would slip and be walked
+    again whole; the results would stay right and the speed-up would go.
+    """
+    for cut in sorted({0, 2, size // 4 * 2, size - 2, size}):
+        whole, head, tail = (_block_rng(40 + k, size) for _ in range(3))
+        for _ in range(2):  # two steps, as the kernel draws them
+            uniforms = whole.random(size)
+            actions = whole.integers(0, k, size, dtype=np.int32)
+            first = head.random(cut)
+            head.bit_generator.advance(size - cut)
+            first_actions = head.integers(0, k, cut, dtype=np.int32)
+            head.bit_generator.advance((size - cut) // 2)
+            tail.bit_generator.advance(cut)
+            rest = tail.random(size - cut)
+            tail.bit_generator.advance(cut // 2)
+            rest_actions = tail.integers(0, k, size - cut, dtype=np.int32)
+            assert np.array_equal(np.concatenate([first, rest]), uniforms)
+            assert np.array_equal(np.concatenate([first_actions, rest_actions]), actions)
+        assert _position(head) == _position(tail) == _position(whole)
+
+
+@pytest.mark.parametrize("samples", (100_000, 110_000), ids=("helper-piece", "caller-piece"))
+@pytest.mark.parametrize("k", (3, 5))
+def test_rejected_action_draw_in_the_cut_block_rewalks_it(monkeypatch, k, samples):
+    """A zero 32-bit word among block 0's actions makes numpy redraw it (k = 3 or 5).
+
+    Seed 3407 was found by scanning seeds 0..5999 at n = 12: for each step,
+    advance block 0's generator past the 65,536 uniforms, then view the
+    32,768 outputs of ``random_raw`` as 32-bit words and look for a zero.
+    Seeds 165 and 3407 have one; 3407's is word 51,831 of step 8, so it
+    falls in the helper's piece at 100,000 samples (cut 50,000) and in the
+    caller's at 110,000 (cut 55,000).  The redraw shifts the rest of the
+    block's stream by one word, so both pieces must be dropped.
+    """
+    n, delta, seed = 12, 0.45, 3407
+    kernel = coupling._walk_block
+    calls, slips = [], []
+
+    def spy(n, k, delta, seed, block, size, lo, hi, tally=None):
+        calls.append((block, lo, hi))
+        try:
+            return kernel(n, k, delta, seed, block, size, lo, hi, tally)
+        except coupling._StreamSlip:
+            slips.append((block, lo, hi))
+            raise
+
+    monkeypatch.setattr(coupling, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(coupling, "_walk_block", spy)
+    cut = samples // 4 * 2
+    piece = (0, 0, cut) if samples == 110_000 else (0, cut, BLOCK_SIZE)
+    checks = (
+        (lambda: simulate_coupling(n, k, delta, samples, seed).estimate,
+         lambda: _reference_never(n, k, delta, samples, seed) / samples),
+        (lambda: simulate_meet_time(n, k, delta, samples, seed).counts,
+         lambda: _reference_meet_time(n, k, delta, samples, seed)[0]),
+        (lambda: simulate_meet_time(n, k, delta, samples, seed).transitions,
+         lambda: _reference_meet_time(n, k, delta, samples, seed)[1]),
+        (lambda: mirrored_action_counts(n, k, delta, samples, seed, 1),
+         lambda: _reference_mirrored(n, k, delta, samples, seed, 1)),
+    )
+    for got, expected in checks:
+        calls.clear()
+        slips.clear()
+        assert np.array_equal(got(), expected())
+        assert slips == [piece]
+        assert calls[-1] == (0, 0, BLOCK_SIZE)  # the re-walk, after both pieces
+
+
 def test_helper_thread_error_reraises_in_caller(monkeypatch):
     kernel = coupling._walk_block
     threads = set()
 
-    def failing(n, k, delta, seed, block, size, tally=None):
-        if block == 1:
+    def failing(n, k, delta, seed, block, size, lo, hi, tally=None):
+        if block == 2:
             threads.add(threading.current_thread() is threading.main_thread())
-            raise RuntimeError("block 1 failed")
-        return kernel(n, k, delta, seed, block, size, tally)
+            raise RuntimeError("block 2 failed")
+        return kernel(n, k, delta, seed, block, size, lo, hi, tally)
 
     monkeypatch.setattr(coupling, "_cpu_count", lambda: 2)
     monkeypatch.setattr(coupling, "_walk_block", failing)
     for simulate in (simulate_coupling, simulate_meet_time, mirrored_action_counts):
-        with pytest.raises(RuntimeError, match="block 1 failed"):
+        with pytest.raises(RuntimeError, match="block 2 failed"):
             simulate(5, 3, 0.4, 3 * BLOCK_SIZE, seed=1)
-    assert threads == {False}  # block 1 ran on the helper every time
+    assert threads == {False}  # the helper walks the second half, block 2 included
     assert all(t.name != "lipgames-coupling" for t in threading.enumerate())
 
 
 def test_block_order_holds_under_rapid_thread_switches(monkeypatch):
     monkeypatch.setattr(coupling, "_cpu_count", lambda: 2)
-    samples = 150 * BLOCK_SIZE + 1
+    samples = 151 * BLOCK_SIZE + 1
+    half = BLOCK_SIZE // 2  # the cut falls at 75.5 blocks
+    on_caller = [(block, BLOCK_SIZE, 0, BLOCK_SIZE, True) for block in range(75)]
+    on_helper = [(block, BLOCK_SIZE, 0, BLOCK_SIZE, False) for block in range(76, 151)]
+    expected = [*on_caller, (75, BLOCK_SIZE, 0, half, True), (75, BLOCK_SIZE, half, BLOCK_SIZE, False),
+                *on_helper, (151, 1, 0, 1, False)]
+
+    def part(*part):
+        return (*part, threading.current_thread() is threading.main_thread())
+
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
-            results = coupling._map_blocks(samples, lambda block, size: (block, size))
-            assert results == list(enumerate(_block_sizes(samples)))
+            assert coupling._map_blocks(samples, part) == expected
     finally:
         sys.setswitchinterval(interval)
 
@@ -324,11 +411,22 @@ def test_single_block_or_single_cpu_uses_no_helper(monkeypatch):
     def no_thread(*args, **kwargs):
         raise AssertionError("a helper thread was started")
 
+    kernel = coupling._walk_block
+    parts = []
+
+    def whole(n, k, delta, seed, block, size, lo, hi, tally=None):
+        parts.append((block, size, lo, hi))
+        return kernel(n, k, delta, seed, block, size, lo, hi, tally)
+
+    monkeypatch.setattr(coupling, "_walk_block", whole)
     monkeypatch.setattr(coupling, "_cpu_count", lambda: 2)
     monkeypatch.setattr(coupling.threading, "Thread", no_thread)
     simulate_coupling(4, 3, 0.4, BLOCK_SIZE, seed=2)
     monkeypatch.setattr(coupling, "_cpu_count", lambda: 1)
     simulate_meet_time(4, 3, 0.4, 2 * BLOCK_SIZE + 1, seed=2)
+    # neither splits a block
+    assert parts == [(0, BLOCK_SIZE, 0, BLOCK_SIZE), (0, BLOCK_SIZE, 0, BLOCK_SIZE),
+                     (1, BLOCK_SIZE, 0, BLOCK_SIZE), (2, 1, 0, 1)]
 
 
 def test_replication_step_budget_is_checked_before_running(monkeypatch):

@@ -141,6 +141,14 @@ def test_two_block_mirror_tie_goes_to_larger_split():
     assert result.split == 64
 
 
+@pytest.mark.parametrize("m", (1, 3, 5, 7))
+def test_two_block_tie_within_split_goes_to_smallest_outcome(m):
+    # near delta = 1 every split is Binomial(m, 1/2), so the largest split
+    # wins and its two middle outcomes tie; the smaller one is reported
+    result = two_block_max_prob(m, 1 - 1e-13)
+    assert (result.split, result.point) == (m, (m - 1) // 2)
+
+
 def _split_peaks(n, delta):
     """Largest point probability of every split, from math.comb pmfs."""
     q = 0.5 * delta
