@@ -83,7 +83,7 @@ class MeetTimeResult:
     seed: int
 
 
-def _check_params(n, k, delta, samples, seed, baseline):
+def _check_params(n, k, delta, samples, seed, baseline=None):
     n = checks.count(n, "step count")
     k = checks.count(k, "action count", 2)
     checks.delta(delta)
@@ -238,17 +238,14 @@ def _map_blocks(samples: int, run) -> list:
     return mine + theirs
 
 
-def simulate_coupling(
-    n: int, k: int, delta: float, samples: int, seed: int, baseline: int | None = None
-) -> CouplingEstimate:
+def simulate_coupling(n: int, k: int, delta: float, samples: int, seed: int) -> CouplingEstimate:
     """Estimate the probability that the coupled chains differ after n steps.
 
-    The estimate does not depend on the baseline profile (both chains add
-    the same unperturbed players), so only the gap walk is simulated; the
-    default baseline is the worst-case witness, all players on action 2 for
-    k >= 3 and on action 0 for k = 2.  ``n = 0`` returns exactly 1.
+    The estimate does not depend on the unperturbed players' actions (both
+    chains add the same ones), so only the gap walk is simulated.
+    ``n = 0`` returns exactly 1.
     """
-    n, k, delta, samples, seed, _ = _check_params(n, k, delta, samples, seed, baseline)
+    n, k, delta, samples, seed, _ = _check_params(n, k, delta, samples, seed)
     def run(block, size, lo, hi):
         return _walk_block(n, k, delta, seed, block, size, lo, hi)
 
@@ -258,9 +255,7 @@ def simulate_coupling(
     return CouplingEstimate(estimate, std_error, samples, seed)
 
 
-def simulate_meet_time(
-    n: int, k: int, delta: float, samples: int, seed: int, baseline: int | None = None
-) -> MeetTimeResult:
+def simulate_meet_time(n: int, k: int, delta: float, samples: int, seed: int) -> MeetTimeResult:
     """Distribution of the first step at which the chains meet.
 
     Uses the same stream layout as :func:`simulate_coupling` plus extra
@@ -268,7 +263,7 @@ def simulate_meet_time(
     seed.  Pre-meeting gap moves are tallied as (down, stay, up); their
     frequencies estimate ``(delta/k, 1 - 2*delta/k, delta/k)``.
     """
-    n, k, delta, samples, seed, _ = _check_params(n, k, delta, samples, seed, baseline)
+    n, k, delta, samples, seed, _ = _check_params(n, k, delta, samples, seed)
 
     def run(block, size, lo, hi):
         # tallies[s] chains are still apart before step s + 1 (s = n: they
@@ -301,6 +296,8 @@ def mirrored_action_counts(
     of the mirrored chain ended up taking.  Each row estimates
     ``samples * perturbed_action_law(baseline, k, delta)``: the mirror is a
     bijection on uniform draws, so mirroring never distorts the marginals.
+    The default baseline is the worst-case witness's action: 2 for k >= 3,
+    0 for k = 2.
     """
     n, k, delta, samples, seed, baseline = _check_params(n, k, delta, samples, seed, baseline)
 

@@ -4,9 +4,10 @@ The constant ``lambda(n, k, delta)`` is the largest influence one player's
 action can have on another player's expected payoff across all n-player
 k-action anonymous games once every action is delta-perturbed.  For three
 or more actions it equals ``(1 - delta)`` times a passage probability of a
-lazy walk; for two actions it is driven by the split Bernoulli maximum of
-:mod:`lipgames.poisson_binomial`, exactly for all n, with an O(n) closed
-formula at even n and a bracket from the adjacent even values at odd n.
+lazy walk.  For two actions it is ``(1 - delta)`` times the split Bernoulli
+maximum of :mod:`lipgames.poisson_binomial`; at even n that maximum is the
+chance that two i.i.d. Binomial(n/2 - 1, delta/2) draws coincide, an O(n)
+sum, and at odd n it is bracketed by the adjacent even values.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ METHOD_EVEN_WALK = "even-walk"
 METHOD_ODD_BRACKET = "odd-bracket"
 METHOD_ORACLE = "oracle"
 
-#: Largest n for which the dispatcher runs the O(n^2) exact split maximum
-#: for two-action games.  Beyond it, even n uses the equivalent O(n)
-#: collision formula and odd n reports the bracket midpoint.
+#: Largest odd n for which the dispatcher runs the O(n^2) exact split
+#: maximum for two-action games; beyond it, odd n reports the bracket
+#: midpoint.  Even n always uses the O(n) collision formula.
 TWO_ACTION_EXACT_LIMIT = 256
 
 _BRACKET_SLACK = 1e-9
@@ -89,8 +90,9 @@ def lipschitz_two_action(n: int, delta: float) -> LambdaResult:
 
     ``(1 - delta)`` times the split Bernoulli maximum over n - 2 terms.
     The split scan costs O(n^2) and refuses n - 2 above
-    :data:`~lipgames.poisson_binomial.SPLIT_SCAN_LIMIT`; prefer the O(n)
-    :func:`lipschitz_two_action_even` for large even n.
+    :data:`~lipgames.poisson_binomial.SPLIT_SCAN_LIMIT`.
+    :func:`lipschitz_constant` scans only at odd n; at even n it takes the
+    O(n) :func:`lipschitz_two_action_even`, which this scan cross-checks.
     """
     checks.instance(n, 2, delta)
     value = _two_action(n, delta)
@@ -102,8 +104,8 @@ def lipschitz_two_action_even(n: int, delta: float) -> float:
 
     ``(1 - delta) * P(two i.i.d. Binomial(n/2 - 1, delta/2) draws coincide)``,
     which equals the walk with rate ``delta*(1 - delta/2)`` sitting at 0
-    after ``n/2 - 1`` steps; agrees with :func:`lipschitz_two_action` and
-    costs O(n).
+    after ``n/2 - 1`` steps; agrees with :func:`lipschitz_two_action`,
+    costs O(n), and is the route :func:`lipschitz_constant` takes at even n.
     """
     checks.instance(n, 2, delta)
     if n % 2:
@@ -127,10 +129,10 @@ def two_action_odd_bracket(n: int, delta: float) -> tuple[float, float]:
 def lipschitz_constant(n: int, k: int, delta: float) -> LambdaResult:
     """Worst-case Lipschitz constant, dispatching on the action count.
 
-    k >= 3 always uses the exact walk formula.  For k = 2, even n up to
-    ``TWO_ACTION_EXACT_LIMIT`` uses the exact split maximum and larger even
-    n the equivalent walk formula; odd n carries the even-neighbour bracket,
-    with the exact value up to the limit and the geometric midpoint beyond.
+    k >= 3 always uses the exact walk formula.  For k = 2, every even n
+    uses the O(n) collision formula (``even-walk``); odd n carries the
+    even-neighbour bracket, with the exact split maximum up to
+    ``TWO_ACTION_EXACT_LIMIT`` and the geometric midpoint beyond.
     """
     checks.instance(n, k, delta)
     return _dispatch(n, k, delta)
@@ -170,11 +172,8 @@ def _dispatch(n, k, delta) -> LambdaResult:
         value = _multi_action(n, k, delta)
         return LambdaResult(value, value, value, METHOD_WALK, estimate)
     if n % 2 == 0:
-        if n <= TWO_ACTION_EXACT_LIMIT:
-            value, method = _two_action(n, delta), METHOD_TWO_BLOCK
-        else:
-            value, method = _two_action_even(n, delta), METHOD_EVEN_WALK
-        return LambdaResult(value, value, value, method, estimate)
+        value = _two_action_even(n, delta)
+        return LambdaResult(value, value, value, METHOD_EVEN_WALK, estimate)
     lower, upper = _odd_bracket(n, delta)
     value = _two_action(n, delta) if n <= TWO_ACTION_EXACT_LIMIT else math.sqrt(lower * upper)
     return LambdaResult(value, lower, upper, METHOD_ODD_BRACKET, estimate)

@@ -31,7 +31,9 @@ TIE_TOL = 1e-12
 
 #: Largest term count :func:`two_block_max_prob` accepts.  The split scan
 #: costs O(n^2) time and about 10 n^2 bytes: 25 ms and 168 MB at the limit
-#: (2-core host, numpy 2.4), 7 ms and 42 MB at half of it.
+#: (2-core host, numpy 2.4), 7 ms and 42 MB at half of it.  Its relative
+#: error against 30-digit mpmath grows linearly in n, to 2.3e-13 measured
+#: at 4095 terms; the tests hold it below 3e-13 up to the limit.
 SPLIT_SCAN_LIMIT = 2**12
 
 

@@ -349,6 +349,20 @@ def test_verify_passes(capsys):
     assert float(data["max_deviation"]) <= 1e-9
 
 
+def test_verify_evaluates_the_dispatched_routes(capsys, monkeypatch):
+    evaluated = []
+    dispatch = lipgames.lipschitz.lipschitz_constant
+
+    def counted(n, k, delta):
+        evaluated.append((n, k, delta))
+        return dispatch(n, k, delta)
+
+    monkeypatch.setattr(lipgames.lipschitz, "lipschitz_constant", counted)
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 0 and parse_kv(out)["cases"] == "125"
+    assert len(evaluated) == len(set(evaluated)) == 125
+
+
 def test_fifteen_significant_digits(capsys):
     _, out, _ = run_cli(capsys, "lambda", "--n", "3", "--k", "2", "--delta", "0.5")
     upper = parse_kv(out)["upper"]

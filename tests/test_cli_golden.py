@@ -25,11 +25,11 @@ GOLDEN = [
      "upper = 0.325927734375\nmethod = walk-closed-form\nasymptotic = 0.32573500793528\n"),
     ("lambda --n 4 --k 2 --delta 0.5 --method both",
      "n = 4\nk = 2\ndelta = 0.5\nlambda = 0.3125\nlower = 0.3125\nupper = 0.3125\n"
-     "method = two-block-exact\nasymptotic = 0.23032943298089\noracle = 0.3125\ndifference = 0\n"
+     "method = even-walk\nasymptotic = 0.23032943298089\noracle = 0.3125\ndifference = 0\n"
      "worst_class = (1, 1)\n"),
     ("lambda --n 4 --k 2 --delta 0.5 --method both --json",
      '{"asymptotic": 0.23032943298089, "delta": 0.5, "difference": 0.0, "k": 2, "lambda": 0.3125, '
-     '"lower": 0.3125, "method": "two-block-exact", "n": 4, "oracle": 0.3125, "upper": 0.3125, '
+     '"lower": 0.3125, "method": "even-walk", "n": 4, "oracle": 0.3125, "upper": 0.3125, '
      '"worst_class": [1, 1]}\n'),
     ("lambda --n 5 --k 4 --delta 0.5 --method oracle",
      "n = 5\nk = 4\ndelta = 0.5\nlambda = 0.3544921875\nlower = 0.3544921875\n"

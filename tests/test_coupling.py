@@ -140,8 +140,6 @@ def test_parameter_validation():
         simulate_coupling(5, 3, 0.0, 100, seed=0)
     with pytest.raises(ValueError):
         simulate_coupling(5, 3, 0.3, 0, seed=0)
-    with pytest.raises(ValueError):
-        simulate_coupling(5, 3, 0.3, 100, seed=0, baseline=3)
 
 
 # The three block loops the shared kernel replaced, kept as references.

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import lipgames.lipschitz as lipschitz_module
-from lipgames import checks
+from lipgames import checks, poisson_binomial
 from lipgames import (
     IntegrityError,
     LambdaResult,
@@ -18,6 +18,7 @@ from lipgames import (
     lipschitz_two_action_even,
     two_action_odd_bracket,
 )
+from lipgames.cli import main
 from lipgames.lipschitz import (
     METHOD_EVEN_WALK,
     METHOD_ODD_BRACKET,
@@ -93,10 +94,18 @@ def test_dispatch_examples():
     )
 
 
-def test_dispatch_methods_and_brackets():
+class _ScanReached(Exception):
+    pass
+
+
+def _refuse_scan(m, delta):
+    raise _ScanReached(m)
+
+
+def test_dispatch_methods_and_brackets(monkeypatch, capsys):
     assert lipschitz_constant(10, 4, 0.3).method == METHOD_WALK
     small_even = lipschitz_constant(10, 2, 0.3)
-    assert small_even.method == METHOD_TWO_BLOCK
+    assert small_even.method == METHOD_EVEN_WALK
     odd = lipschitz_constant(9, 2, 0.3)
     assert odd.method == METHOD_ODD_BRACKET
     assert odd.lower <= odd.value <= odd.upper
@@ -109,6 +118,21 @@ def test_dispatch_methods_and_brackets():
     big_odd = lipschitz_constant(TWO_ACTION_EXACT_LIMIT + 3, 2, 0.3)
     assert big_odd.method == METHOD_ODD_BRACKET
     assert big_odd.lower <= big_odd.value <= big_odd.upper
+
+    # Even n has one route, the collision sum; the split scan is reached only at odd n.
+    monkeypatch.setattr(poisson_binomial, "two_block_max_prob", _refuse_scan)
+    for n in range(2, 301, 2):
+        for delta in (0.1, 0.37, 0.61, 0.9):
+            res = lipschitz_constant(n, 2, delta)
+            assert res.method == METHOD_EVEN_WALK
+            assert res.value == lipschitz_two_action_even(n, delta)
+    assert delta_fixed_point(250, 2).value > 0.0
+    assert main(["sweep", "--n-start", "2", "--n-stop", "300", "--n-step", "2", "--k", "2",
+                 "--delta", "0.37", "--delta", "0.9"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 150 * 2
+    for n in range(3, TWO_ACTION_EXACT_LIMIT + 1, 2):
+        with pytest.raises(_ScanReached):
+            lipschitz_constant(n, 2, 0.37)
 
 
 def test_value_range():

@@ -24,6 +24,11 @@ import brute
 #: largest measured on these grids is about 5.8e-14 (split maximum, m = 1023,
 #: delta = 0.61), about 3.3e-15 for the O(n) sums (passage, m = 16384).
 REL_BOUND = 1e-13
+#: The split scan's bound over its whole accepted range, up to
+#: ``SPLIT_SCAN_LIMIT`` terms: its table's convolution chain drifts linearly
+#: in m, measured at 1.12 / 1.15e-13 (m = 2047) and 2.26 / 2.29e-13
+#: (m = 4095) at deltas 0.37 / 0.61.
+SCAN_RANGE_REL_BOUND = 3e-13
 #: Largest absolute gap accepted between the closed form and the walk DP.
 DP_TOL = 1e-12
 
@@ -120,6 +125,18 @@ def test_collision_within_bound_of_reference(m, delta):
 def test_split_max_within_bound_of_reference(m, delta):
     ref = split_reference(m, delta)
     assert abs(two_block_max_prob(m, delta).value - ref) <= REL_BOUND * ref
+
+
+@pytest.mark.parametrize("m", (2047, 4095))
+@pytest.mark.parametrize("delta", (0.37, 0.61))
+def test_split_max_within_range_bound_at_its_witness(m, delta):
+    # one 2F1 series at the reported (split, point), which attains the
+    # maximum at these deltas (no other split ties within TIE_TOL); the full
+    # reference would evaluate four points per split
+    result = two_block_max_prob(m, delta)
+    with mpmath.workdps(30):
+        ref = _split_point(result.split, m - result.split, result.point, mpmath.mpf(delta) / 2)
+    assert abs(result.value - ref) <= SCAN_RANGE_REL_BOUND * ref
 
 
 @pytest.mark.parametrize("delta", (0.25, 0.5, 0.75))
