@@ -51,9 +51,6 @@ BLOCK_SIZE = 1 << 16
 #: a step's fixed cost in numpy calls outweighs its replications.
 MAX_REP_STEPS = 10**10
 _MIN_CHARGED = 1 << 12
-#: Uniforms drawn per generator call; one reused buffer keeps the working
-#: set of a block small without changing the stream (a double is one draw).
-_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -83,7 +80,7 @@ class MeetTimeResult:
     seed: int
 
 
-def _check_params(n, k, delta, samples, seed, baseline=None):
+def _check_params(n, k, delta, samples, seed):
     n = checks.count(n, "step count")
     k = checks.count(k, "action count", 2)
     checks.delta(delta)
@@ -94,9 +91,7 @@ def _check_params(n, k, delta, samples, seed, baseline=None):
             f"{samples} samples (charged as at least {_MIN_CHARGED}) of {n} steps exceed "
             f"the budget of {MAX_REP_STEPS} replication steps"
         )
-    if baseline is None:
-        baseline = 2 if k >= 3 else 0
-    return n, k, float(delta), samples, seed, checks.index(baseline, k, "baseline action")
+    return n, k, float(delta), samples, seed
 
 
 def _block_sizes(samples: int):
@@ -124,9 +119,9 @@ def _walk_block(
     sees the step's perturbation flags and actions, the chains still apart
     and the pre-meeting down and up moves, each ``hi - lo`` long.  The
     arrays are reused between steps.  ``integers(..., dtype=np.int32)`` and
-    chunked ``random(out=)`` draw the same values and leave the same
-    generator state as the default int64 draw and one full-size call
-    (pinned by the tests).
+    ``random(out=)`` draw the same values and leave the same generator
+    state as the default int64 draw and ``random(width)`` (pinned by the
+    tests).
 
     A piece (less than the whole block; ``size``, ``lo`` and ``hi`` even) skips
     the other replications of every step: a uniform is one 64-bit output
@@ -138,7 +133,7 @@ def _walk_block(
     width = hi - lo
     # advance() drops a buffered half output, so a whole block never calls it.
     advance = rng.bit_generator.advance if width < size else lambda outputs: None
-    uniforms = np.empty(min(width, _CHUNK))
+    uniforms = np.empty(width)
     chi, active, up, down = (np.empty(width, dtype=bool) for _ in range(4))
     alive = np.ones(width, dtype=bool)
     # The gap starts at 0, stays <= 0 while the chains differ and freezes
@@ -147,10 +142,8 @@ def _walk_block(
     gap = np.zeros(width, dtype=np.min_scalar_type(-max(n, 1)))
     for step in range(n):
         advance(lo)
-        for start in range(0, width, _CHUNK):
-            part = uniforms[: min(_CHUNK, width - start)]
-            rng.random(out=part)
-            np.less(part, delta, out=chi[start : start + part.size])
+        rng.random(out=uniforms)
+        np.less(uniforms, delta, out=chi)
         advance(size - hi + lo // 2)
         u = rng.integers(0, k, width, dtype=np.int32)
         advance((size - hi) // 2)
@@ -245,7 +238,8 @@ def simulate_coupling(n: int, k: int, delta: float, samples: int, seed: int) -> 
     chains add the same ones), so only the gap walk is simulated.
     ``n = 0`` returns exactly 1.
     """
-    n, k, delta, samples, seed, _ = _check_params(n, k, delta, samples, seed)
+    n, k, delta, samples, seed = _check_params(n, k, delta, samples, seed)
+
     def run(block, size, lo, hi):
         return _walk_block(n, k, delta, seed, block, size, lo, hi)
 
@@ -263,7 +257,7 @@ def simulate_meet_time(n: int, k: int, delta: float, samples: int, seed: int) ->
     seed.  Pre-meeting gap moves are tallied as (down, stay, up); their
     frequencies estimate ``(delta/k, 1 - 2*delta/k, delta/k)``.
     """
-    n, k, delta, samples, seed, _ = _check_params(n, k, delta, samples, seed)
+    n, k, delta, samples, seed = _check_params(n, k, delta, samples, seed)
 
     def run(block, size, lo, hi):
         # tallies[s] chains are still apart before step s + 1 (s = n: they
@@ -299,7 +293,10 @@ def mirrored_action_counts(
     The default baseline is the worst-case witness's action: 2 for k >= 3,
     0 for k = 2.
     """
-    n, k, delta, samples, seed, baseline = _check_params(n, k, delta, samples, seed, baseline)
+    n, k, delta, samples, seed = _check_params(n, k, delta, samples, seed)
+    if baseline is None:
+        baseline = 2 if k >= 3 else 0
+    baseline = checks.index(baseline, k, "baseline action")
 
     def run(block, size, lo, hi):
         table = np.zeros((n, k), dtype=np.int64)
@@ -320,7 +317,4 @@ def mirrored_action_counts(
         _walk_block(n, k, delta, seed, block, size, lo, hi, tally)
         return table
 
-    table = np.zeros((n, k), dtype=np.int64)
-    for block_table in _map_blocks(samples, run):
-        table += block_table
-    return table
+    return sum(_map_blocks(samples, run))

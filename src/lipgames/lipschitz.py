@@ -184,7 +184,7 @@ class FixedPoint(NamedTuple):
     value: float
 
 
-def delta_fixed_point(n: int, k: int, tol: float = 1e-10, max_iter: int = 200) -> FixedPoint:
+def delta_fixed_point(n: int, k: int, tol: float = 1e-10) -> FixedPoint:
     """Solve ``lipschitz_constant(n, k, delta) = delta`` for delta by bisection.
 
     Returns ``(delta, value)`` with ``|value - delta| <= tol``.  The gap
@@ -193,9 +193,12 @@ def delta_fixed_point(n: int, k: int, tol: float = 1e-10, max_iter: int = 200) -
     is verified instead of claiming uniqueness.  Perturbing every action by
     this delta leaves some profile within ``2 * k * value`` of a best
     response, hence a ``2 * delta``-equilibrium of the perturbed game.
+
+    The bisection stops at the first midpoint with ``|value - delta| <= tol``,
+    or raises :class:`~lipgames.errors.IntegrityError` once the midpoint
+    equals an end of the bracket, which then can shrink no further.
     """
     checks.bound(tol, "tolerance")
-    max_iter = checks.count(max_iter, "iteration count")
     checks.count(n, "player count", 2)
     checks.count(k, "action count", 2)
     lo, hi = 1e-9, 1.0 - 1e-9
@@ -205,8 +208,7 @@ def delta_fixed_point(n: int, k: int, tol: float = 1e-10, max_iter: int = 200) -
 
     if gap(lo) <= 0.0 or gap(hi) >= 0.0:
         raise IntegrityError("fixed-point gap does not change sign over (0, 1)")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
         g = gap(mid)
         if abs(g) <= tol:
             return FixedPoint(mid, g + mid)
@@ -214,4 +216,4 @@ def delta_fixed_point(n: int, k: int, tol: float = 1e-10, max_iter: int = 200) -
             lo = mid
         else:
             hi = mid
-    raise IntegrityError(f"bisection failed to reach residual {tol} in {max_iter} iterations")
+    raise IntegrityError(f"bisection stalled at [{lo!r}, {hi!r}] without reaching residual {tol}")

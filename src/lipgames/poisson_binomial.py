@@ -24,9 +24,10 @@ from .integer_pmf import IntegerPmf, binomial_probs
 #: Tolerance for agreement between redundant computations of the same value.
 DUAL_ROUTE_TOL = 1e-12
 
-#: Split maxima within this distance of the largest count as ties.  At odd
-#: ``n`` the splits ``l`` and ``n - l`` tie exactly (one sum is ``n`` minus
-#: the other), and rounding alone would otherwise pick the reported witness.
+#: Split maxima within this fraction of the largest count as ties.  The
+#: scan never evaluates both ``l`` and ``n - l`` (their sums mirror each
+#: other), so the ties left are splits whose peaks converge as delta -> 1,
+#: where rounding alone would otherwise pick the reported witness.
 TIE_TOL = 1e-12
 
 #: Largest term count :func:`two_block_max_prob` accepts.  The split scan
@@ -155,8 +156,9 @@ def two_block_max_prob(n: int, delta: float) -> TwoBlockMax:
     terms are counted as successes and the remaining ``n - l`` as failures,
     so the sum is Binomial(l, delta/2) + Binomial(n - l, 1 - delta/2) on
     {0..n}.  The maximum runs over every split and every outcome.  Values
-    within ``TIE_TOL`` of the maximum count as ties, which resolve to the
-    larger split, then to the smaller outcome; ``value`` is the maximum
+    within a relative ``TIE_TOL`` of the maximum count as ties, which
+    resolve to the larger split, then to the smaller outcome within a
+    relative ``TIE_TOL`` of that split's peak; ``value`` is the maximum
     itself.  ``n = 0`` gives probability 1 at outcome 0.  Counts above
     :data:`SPLIT_SCAN_LIMIT` raise :class:`~lipgames.errors.BudgetExceededError`.
 
@@ -187,8 +189,8 @@ def two_block_max_prob(n: int, delta: float) -> TwoBlockMax:
                       table[: half + 1, pad : pad + half + 1])
     peaks = probs.max(axis=1)
     best = float(peaks.max())
-    i = int(np.argmax(peaks >= best - TIE_TOL))
-    outcome = int(np.argmax(probs[i] >= peaks[i] - TIE_TOL))
+    i = int(np.argmax(peaks >= best * (1.0 - TIE_TOL)))
+    outcome = int(np.argmax(probs[i] >= peaks[i] * (1.0 - TIE_TOL)))
     return TwoBlockMax(best, int(split[i]), int(floor[i]) - 1 + outcome)
 
 

@@ -102,8 +102,8 @@ def split_scan(n, delta):
     """Split-sum maximum by convolving every split's full pmf, O(n^3).
 
     Returns ``(value, split, point)`` under the library's tie rule: values
-    within ``TIE_TOL`` of the maximum tie, and ties go to the larger split,
-    then to the smaller outcome.
+    within a relative ``TIE_TOL`` of the maximum tie, and ties go to the
+    larger split, then to the smaller outcome.
     """
     q = 0.5 * delta
     successes = _bernoulli_sum_pmfs(n, q)
@@ -111,9 +111,9 @@ def split_scan(n, delta):
     pmfs = [np.convolve(successes[split], failures[n - split]) for split in range(n + 1)]
     peaks = np.array([pmf.max() for pmf in pmfs])
     best = float(peaks.max())
-    split = n - int(np.argmax(peaks[::-1] >= best - TIE_TOL))
+    split = n - int(np.argmax(peaks[::-1] >= best * (1.0 - TIE_TOL)))
     pmf = pmfs[split]
-    return best, split, int(np.argmax(pmf >= pmf.max() - TIE_TOL))
+    return best, split, int(np.argmax(pmf >= pmf.max() * (1.0 - TIE_TOL)))
 
 
 def collision_exact(n, delta):

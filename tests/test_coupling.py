@@ -270,20 +270,17 @@ def test_int32_action_draw_matches_default_int64_draw(k, size):
 
 @pytest.mark.parametrize("size", (1, 8191, 8192, 8193, BLOCK_SIZE - 5, BLOCK_SIZE))
 def test_chunked_uniform_draw_matches_one_call(size):
-    """The kernel fills uniforms in chunks into one buffer; the stream must not change."""
-    whole, chunked = _block_rng(5, size), _block_rng(5, size)
+    """The kernel refills one reused buffer with ``random(out=)``; the stream must
+    match a fresh ``random(size)`` array."""
+    whole, buffered = _block_rng(5, size), _block_rng(5, size)
+    buffer = np.empty(size)
     for _ in range(2):
         expected = whole.random(size)
-        buffer = np.empty(coupling._CHUNK)
-        got = np.empty(size)
-        for lo in range(0, size, coupling._CHUNK):
-            part = buffer[: min(coupling._CHUNK, size - lo)]
-            chunked.random(out=part)
-            got[lo : lo + part.size] = part
-        assert np.array_equal(expected, got)
-        assert whole.bit_generator.state == chunked.bit_generator.state
+        buffered.random(out=buffer)
+        assert np.array_equal(expected, buffer)
+        assert whole.bit_generator.state == buffered.bit_generator.state
         whole.integers(0, 3, 3)  # an odd draw count leaves a buffered half
-        chunked.integers(0, 3, 3, dtype=np.int32)
+        buffered.integers(0, 3, 3, dtype=np.int32)
 
 
 def _position(rng):
@@ -429,7 +426,7 @@ def test_single_block_or_single_cpu_uses_no_helper(monkeypatch):
 
 def test_replication_step_budget_is_checked_before_running(monkeypatch):
     limit, floor = coupling.MAX_REP_STEPS, coupling._MIN_CHARGED
-    assert coupling._check_params(limit // 10**6, 3, 0.3, 10**6, 0, None)[3] == 10**6
+    assert coupling._check_params(limit // 10**6, 3, 0.3, 10**6, 0)[3] == 10**6
     for simulate in (simulate_coupling, simulate_meet_time, mirrored_action_counts):
         with pytest.raises(BudgetExceededError):
             simulate(10**6, 3, 0.3, limit // 10**6 + 1, seed=0)
@@ -452,3 +449,20 @@ def test_replication_step_budget_is_checked_before_running(monkeypatch):
 def test_non_integer_samples_and_seed_are_refused(samples, seed, name):
     with pytest.raises(ValueError, match=name):
         simulate_coupling(5, 3, 0.3, samples, seed)
+
+
+@pytest.mark.parametrize("k, baseline", ((3, 3), (3, -1), (3, True), (2, 2)))
+def test_bad_baseline_action_is_refused(k, baseline):
+    with pytest.raises(ValueError, match="baseline action"):
+        mirrored_action_counts(5, k, 0.3, 100, 1, baseline)
+
+
+def test_only_the_mirrored_counts_check_a_baseline(monkeypatch):
+    def no_index(*args):
+        raise AssertionError("baseline checked")
+
+    monkeypatch.setattr(coupling.checks, "index", no_index)
+    assert simulate_coupling(5, 3, 0.3, 100, seed=1).samples == 100
+    assert simulate_meet_time(5, 3, 0.3, 100, seed=1).counts.sum() == 100
+    with pytest.raises(AssertionError, match="baseline checked"):
+        mirrored_action_counts(5, 3, 0.3, 100, seed=1)

@@ -181,10 +181,21 @@ def test_fixed_point_rejects_bad_tol():
         delta_fixed_point(10, 3, tol=0.0)
 
 
-def test_iteration_count_is_checked():
-    for max_iter in (float("nan"), 200.0, True, -1):
-        with pytest.raises(ValueError, match="iteration count"):
-            delta_fixed_point(10, 3, max_iter=max_iter)
+def test_bisection_stops_once_the_bracket_cannot_shrink(monkeypatch):
+    # no double is within 1e-300 of the root, so the bisection must stop
+    # when its midpoint stops moving (about 60 evaluations) and not re-evaluate it
+    evaluations = []
+    dispatch = lipschitz_module._dispatch
+
+    def counted(*args):
+        evaluations.append(args)
+        return dispatch(*args)
+
+    monkeypatch.setattr(lipschitz_module, "_dispatch", counted)
+    with pytest.raises(IntegrityError, match="stalled"):
+        delta_fixed_point(309, 2, tol=1e-300)
+    assert len(evaluations) <= 100
+    assert len(set(evaluations)) == len(evaluations)
 
 
 def test_rejects_bad_arguments():
@@ -249,7 +260,7 @@ def test_one_instance_check_per_evaluation(monkeypatch, n, k):
 def test_bisection_checks_its_arguments_once(monkeypatch):
     names = _checks_called_from_lipschitz(monkeypatch)
     delta_fixed_point(309, 2)
-    assert names == ["bound", "count", "count", "count"]
+    assert names == ["bound", "count", "count"]
 
 
 @pytest.mark.parametrize(

@@ -139,6 +139,23 @@ def test_split_max_within_range_bound_at_its_witness(m, delta):
     assert abs(result.value - ref) <= SCAN_RANGE_REL_BOUND * ref
 
 
+def test_split_witness_at_even_m_is_the_balanced_split():
+    # the collision theorem puts the maximum at the balanced split; ties
+    # within an absolute 1e-12 would pick (2050, 2047), 6.5e-11 below it
+    result = two_block_max_prob(4096, 0.5)
+    assert (result.split, result.point) == (2048, 2048)
+
+
+def test_split_witness_attains_the_value_where_split_peaks_crowd():
+    # neighbouring splits' peaks differ by less than 1e-12 here, so ties
+    # within that absolute distance would pick a witness 1.4e-11 below
+    m, delta = 4095, 0.9
+    result = two_block_max_prob(m, delta)
+    with mpmath.workdps(30):
+        ref = _split_point(result.split, m - result.split, result.point, mpmath.mpf(delta) / 2)
+    assert abs(result.value - ref) <= SCAN_RANGE_REL_BOUND * ref
+
+
 @pytest.mark.parametrize("delta", (0.25, 0.5, 0.75))
 def test_split_reference_matches_exact_enumeration(delta):
     for m in range(0, 7):
