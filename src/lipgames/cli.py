@@ -301,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile-budget", type=int, default=gm.DEFAULT_PROFILE_BUDGET)
     _add_json_flag(p)
 
-    p = sub.add_parser("delta-star", help="solve lambda(n,k,delta) = delta by bisection")
+    p = sub.add_parser("delta-star", help="solve lambda(n,k,delta) = delta, starting from the closed form's root")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--tol", type=float, default=1e-10)

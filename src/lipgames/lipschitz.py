@@ -179,13 +179,26 @@ def _dispatch(n, k, delta) -> LambdaResult:
     return LambdaResult(value, lower, upper, METHOD_ODD_BRACKET, estimate)
 
 
+def _estimate_fixed_point(n, k, lo, hi) -> float:
+    """Root of ``_asymptotic(n, k, d) = d`` in [lo, hi], by bisection.
+
+    ``_asymptotic(n, k, d) - d`` decreases in d for both closed forms.
+    """
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if _asymptotic(n, k, mid) > mid:
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
 class FixedPoint(NamedTuple):
     delta: float
     value: float
 
 
 def delta_fixed_point(n: int, k: int, tol: float = 1e-10) -> FixedPoint:
-    """Solve ``lipschitz_constant(n, k, delta) = delta`` for delta by bisection.
+    """Solve ``lipschitz_constant(n, k, delta) = delta`` for delta.
 
     Returns ``(delta, value)`` with ``|value - delta| <= tol``.  The gap
     ``lambda - delta`` is positive near 0 and negative near 1, which
@@ -194,26 +207,59 @@ def delta_fixed_point(n: int, k: int, tol: float = 1e-10) -> FixedPoint:
     this delta leaves some profile within ``2 * k * value`` of a best
     response, hence a ``2 * delta``-equilibrium of the perturbed game.
 
-    The bisection stops at the first midpoint with ``|value - delta| <= tol``,
-    or raises :class:`~lipgames.errors.IntegrityError` once the midpoint
-    equals an end of the bracket, which then can shrink no further.
+    The search starts at the root d0 of ``asymptotic_estimate = delta``,
+    found by bisecting the closed form alone.  It steps outward from d0,
+    0.1 % of d0 first and doubling each time, to the first point where the
+    gap changes sign, and raises :class:`~lipgames.errors.IntegrityError`
+    if the gap keeps its sign up to the end ``1e-9`` or ``1 - 1e-9``.  On
+    that bracket it takes Illinois steps (regula falsi that halves the
+    stored gap of an end kept twice in a row), or the midpoint when the
+    interpolant is not strictly inside.  It stops at the first evaluated
+    point with ``|value - delta| <= tol``, or raises ``IntegrityError`` once
+    the midpoint equals an end of the bracket, which then can shrink no
+    further.
     """
     checks.bound(tol, "tolerance")
     checks.count(n, "player count", 2)
     checks.count(k, "action count", 2)
     lo, hi = 1e-9, 1.0 - 1e-9
+    start = _estimate_fixed_point(n, k, lo, hi)
 
     def gap(d: float) -> float:
         return _dispatch(n, k, d).value - d
 
-    if gap(lo) <= 0.0 or gap(hi) >= 0.0:
-        raise IntegrityError("fixed-point gap does not change sign over (0, 1)")
-    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
-        g = gap(mid)
-        if abs(g) <= tol:
-            return FixedPoint(mid, g + mid)
-        if g > 0.0:
-            lo = mid
+    d, gd = start, gap(start)
+    if abs(gd) <= tol:
+        return FixedPoint(d, gd + d)
+    step = 1e-3 * start if gd > 0.0 else -1e-3 * start
+    while True:
+        e = min(max(start + step, lo), hi)
+        ge = gap(e)
+        if abs(ge) <= tol:
+            return FixedPoint(e, ge + e)
+        if (ge > 0.0) != (gd > 0.0):
+            break
+        if e in (lo, hi):
+            raise IntegrityError("fixed-point gap does not change sign over (0, 1)")
+        d, gd = e, ge
+        step *= 2.0
+    (a, ga), (b, gb) = sorted([(d, gd), (e, ge)])
+    moved = None
+    while (mid := 0.5 * (a + b)) not in (a, b):
+        c = (a * gb - b * ga) / (gb - ga)
+        if not a < c < b:
+            c = mid
+        gc = gap(c)
+        if abs(gc) <= tol:
+            return FixedPoint(c, gc + c)
+        if (gc > 0.0) == (ga > 0.0):
+            a, ga = c, gc
+            if moved == "a":
+                gb *= 0.5
+            moved = "a"
         else:
-            hi = mid
-    raise IntegrityError(f"bisection stalled at [{lo!r}, {hi!r}] without reaching residual {tol}")
+            b, gb = c, gc
+            if moved == "b":
+                ga *= 0.5
+            moved = "b"
+    raise IntegrityError(f"fixed-point search stalled at [{a!r}, {b!r}] without reaching residual {tol}")

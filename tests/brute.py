@@ -2,9 +2,11 @@
 
 Everything here enumerates outcome spaces directly (increment sequences,
 Bernoulli words, full action profiles) and never calls into the library's
-dynamic programs, so agreement is meaningful.  The one exception is
-:func:`split_scan`, the O(n^3) convolution scan the library's split maximum
-replaced, kept as its cross-check at sizes enumeration cannot reach.
+dynamic programs, so agreement is meaningful.  The exceptions are the
+slow routes the library replaced, kept as cross-checks at sizes enumeration
+cannot reach: :func:`split_scan`, the O(n^3) convolution scan behind the
+split maximum, and :func:`bisect_fixed_point`, the plain bisection behind
+``delta_fixed_point``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from lipgames import count_vector_rank
+from lipgames import count_vector_rank, lipschitz_constant
 from lipgames.poisson_binomial import TIE_TOL
 
 
@@ -114,6 +116,24 @@ def split_scan(n, delta):
     split = n - int(np.argmax(peaks[::-1] >= best * (1.0 - TIE_TOL)))
     pmf = pmfs[split]
     return best, split, int(np.argmax(pmf >= pmf.max() * (1.0 - TIE_TOL)))
+
+
+def bisect_fixed_point(n, k, tol):
+    """Root of ``lipschitz_constant(n, k, delta) = delta`` by bisecting (1e-9, 1 - 1e-9).
+
+    Returns ``(delta, value)`` at the first midpoint with
+    ``|value - delta| <= tol``.
+    """
+    lo, hi = 1e-9, 1.0 - 1e-9
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        value = lipschitz_constant(n, k, mid).value
+        if abs(value - mid) <= tol:
+            return mid, value
+        if value > mid:
+            lo = mid
+        else:
+            hi = mid
+    raise AssertionError(f"bisection stalled at [{lo!r}, {hi!r}]")
 
 
 def collision_exact(n, delta):

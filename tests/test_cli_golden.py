@@ -3,7 +3,9 @@
 The instances are small or dyadic (delta = 0.5 or 0.25 with k = 2 or 4,
 so every action law is dyadic), which keeps the printed 15 significant
 digits independent of summation order.  Rounding residues, such as
-verify's ``max_deviation``, are checked by structure only.
+verify's ``max_deviation``, are checked by structure only.  The two
+``delta-star`` cases at n = 1000 and 301 are the exception: they pin the
+points the fixed-point search visits, residual digits included.
 """
 
 import re
@@ -85,6 +87,12 @@ GOLDEN = [
      "n = 2\nk = 3\ndelta_star = 0.5\nlambda_star = 0.5\nepsilon = 1\nresidual = 0\n"),
     ("delta-star --n 2 --k 3 --json",
      '{"delta_star": 0.5, "epsilon": 1.0, "k": 3, "lambda_star": 0.5, "n": 2, "residual": 0.0}\n'),
+    ("delta-star --n 1000 --k 3 --json",
+     '{"delta_star": 0.0922350227555591, "epsilon": 0.184470045511118, "k": 3, '
+     '"lambda_star": 0.0922350227554369, "n": 1000, "residual": 1.22291066162461e-13}\n'),
+    ("delta-star --n 301 --k 2",
+     "n = 301\nk = 2\ndelta_star = 0.0973524913643801\nlambda_star = 0.0973524912815495\n"
+     "epsilon = 0.19470498272876\nresidual = 8.28305896094506e-11\n"),
 ]
 
 SWEEP = ["sweep", "--n-start", "2", "--n-stop", "4", "--k", "2", "--delta", "0.5"]

@@ -27,7 +27,13 @@ from lipgames.lipschitz import (
     TWO_ACTION_EXACT_LIMIT,
 )
 
+import brute
+
 DELTAS = (0.1, 0.25, 0.5, 0.75, 0.9)
+#: Fixed-point grid: every small n, the benchmark's delta-star requests and
+#: both sides of the exact two-action limit.
+FIXED_POINT_NS = tuple(range(2, 61)) + (101, 255, 257, 301, 316, 609, 615, 1000, 2001, 4000)
+FIXED_POINT_KS = (2, 3, 4, 8)
 
 
 def test_multi_action_examples():
@@ -195,6 +201,67 @@ def test_bisection_stops_once_the_bracket_cannot_shrink(monkeypatch):
     with pytest.raises(IntegrityError, match="stalled"):
         delta_fixed_point(309, 2, tol=1e-300)
     assert len(evaluations) <= 100
+    assert len(set(evaluations)) == len(evaluations)
+
+
+def _counted_dispatch(monkeypatch, value=None):
+    """Record every ``_dispatch`` call; return ``value(delta)`` instead if given."""
+    evaluations = []
+    dispatch = lipschitz_module._dispatch
+
+    def counted(*args):
+        evaluations.append(args)
+        if value is None:
+            return dispatch(*args)
+        v = value(args[2])
+        return LambdaResult(v, v, v, METHOD_WALK)
+
+    monkeypatch.setattr(lipschitz_module, "_dispatch", counted)
+    return evaluations
+
+
+@pytest.mark.parametrize("k", FIXED_POINT_KS)
+def test_fixed_point_agrees_with_the_bisection_in_few_evaluations(monkeypatch, k):
+    # the gap's slope is below -1, so two points within tol of it lie within 2 * tol
+    tol = 1e-10
+    evaluations = _counted_dispatch(monkeypatch)
+    for n in FIXED_POINT_NS:
+        evaluations.clear()
+        point = delta_fixed_point(n, k, tol)
+        assert len(evaluations) <= 16, (n, k)
+        assert abs(point.value - point.delta) <= tol, (n, k)
+        assert abs(point.delta - brute.bisect_fixed_point(n, k, tol)[0]) <= 2 * tol, (n, k)
+
+
+@pytest.mark.parametrize("n, k", [(615, 3), (609, 4), (316, 2), (301, 2)])
+def test_fixed_point_starts_next_to_the_root(monkeypatch, n, k):
+    evaluations = _counted_dispatch(monkeypatch)
+    delta_fixed_point(n, k)
+    assert len(evaluations) <= 8
+
+
+@pytest.mark.parametrize(
+    "value, root",
+    [(lambda d: 1e-3 / math.sqrt(d), 0.01), (lambda d: math.exp(-200.0 * d), 0.0196487163)],
+    ids=["sqrt", "exp"],
+)
+def test_fixed_point_converges_on_a_curved_gap(monkeypatch, value, root):
+    # plain regula falsi keeps one end for thousands of steps on these gaps;
+    # halving the kept end's gap (the Illinois step) reaches tol in about 30
+    evaluations = _counted_dispatch(monkeypatch, value)
+    point = delta_fixed_point(1000, 3)
+    assert abs(point.value - point.delta) <= 1e-10
+    assert point.delta == pytest.approx(root, abs=1e-9)
+    assert len(evaluations) <= 40
+
+
+@pytest.mark.parametrize("value", [2.0, 0.0])
+@pytest.mark.parametrize("n, k", [(2, 2), (1000, 3)])
+def test_fixed_point_refuses_a_gap_of_one_sign(monkeypatch, value, n, k):
+    evaluations = _counted_dispatch(monkeypatch, lambda d: value)
+    with pytest.raises(IntegrityError, match="does not change sign"):
+        delta_fixed_point(n, k)
+    assert len(evaluations) <= 60
     assert len(set(evaluations)) == len(evaluations)
 
 

@@ -37,7 +37,7 @@ RATES = (0.01, 0.1, 0.25, 0.5, 2 / 3, 0.9, 1.0)
 DELTAS = (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
 #: Split-scan cases: three deltas at small and medium m, one at m = 1023.
 SPLIT_CASES = [(m, delta) for m in (1, 51, 253) for delta in (0.1, 0.37, 0.95)] + [(1023, 0.61)]
-#: The cross-check deltas, with the delta-star bisection endpoints.
+#: The cross-check deltas, with the ends of the delta-star search range.
 SCAN_DELTAS = (1e-9, 0.01, 0.1, 0.37, 0.5, 0.61, 0.95, 1 - 1e-9)
 
 
