@@ -5,8 +5,9 @@ Bernoulli words, full action profiles) and never calls into the library's
 dynamic programs, so agreement is meaningful.  The exceptions are the
 slow routes the library replaced, kept as cross-checks at sizes enumeration
 cannot reach: :func:`split_scan`, the O(n^3) convolution scan behind the
-split maximum, and :func:`bisect_fixed_point`, the plain bisection behind
-``delta_fixed_point``.
+split maximum, :func:`bisect_fixed_point`, the plain bisection behind
+``delta_fixed_point``, and :func:`passage_prob_by_parity`, the full-length
+parity product behind ``passage_prob``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from lipgames import count_vector_rank, lipschitz_constant
+from lipgames.integer_pmf import binomial_probs
 from lipgames.poisson_binomial import TIE_TOL
 
 
@@ -116,6 +118,20 @@ def split_scan(n, delta):
     split = n - int(np.argmax(peaks[::-1] >= best * (1.0 - TIE_TOL)))
     pmf = pmfs[split]
     return best, split, int(np.argmax(pmf >= pmf.max() * (1.0 - TIE_TOL)))
+
+
+def passage_prob_by_parity(n, r):
+    """P(lazy walk in {0, 1} after n steps) with the factor built over all n moves.
+
+    The in-{0, 1} factor after j non-lazy moves is a running product over
+    j that gains (j + 1)/(j + 2) after each even j, the parity tested on a
+    float index.
+    """
+    moves = binomial_probs(n, r)
+    j = np.arange(n, dtype=np.float64)
+    factors = np.where(j % 2 == 0, (j + 1.0) / (j + 2.0), 1.0)
+    in_01 = np.concatenate(([1.0], np.cumprod(factors)))
+    return float(np.dot(moves, in_01))
 
 
 def bisect_fixed_point(n, k, tol):

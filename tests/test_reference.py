@@ -4,8 +4,9 @@
 ``binomial_probs``, and ``two_block_max_prob`` is an O(n^2) scan of the
 points next to each split's mean; here they are held to a stated relative
 error bound against mpmath evaluations of the same definitions,
-``passage_prob`` is tied to the independent ``walk_pmf`` dynamic program, and
-the split scan to the O(n^3) convolution scan it replaced.
+``passage_prob`` is tied to the independent ``walk_pmf`` dynamic program and
+bit for bit to the full-length parity product it replaced, and the split
+scan to the O(n^3) convolution scan it replaced.
 """
 
 import functools
@@ -15,8 +16,8 @@ import tracemalloc
 import mpmath
 import pytest
 
-from lipgames import binomial_collision_prob, passage_prob, two_block_max_prob, walk_pmf
-from lipgames.integer_pmf import binomial_probs
+from lipgames import BudgetExceededError, binomial_collision_prob, passage_prob, two_block_max_prob, walk_pmf
+from lipgames.integer_pmf import MAX_TRIALS, binomial_probs
 
 import brute
 
@@ -190,6 +191,27 @@ def test_passage_matches_walk_dp(r):
     for n in range(0, 401):
         pmf = walk_pmf(n, r)
         assert abs(passage_prob(n, r) - (pmf.prob(0) + pmf.prob(1))) <= DP_TOL
+
+
+@pytest.mark.parametrize("r", (0.0125, 0.1, 0.2, 0.37, 0.5, 0.63, 0.9, 1.0))
+def test_passage_equals_the_parity_product_bit_for_bit(r):
+    # the half-length product holds the same correctly rounded ratios in the
+    # same order, and the parity product's 1.0s multiply exactly
+    for n in [*range(0, 300), 999, 1000, 2001, 4040, 16384, 10**6]:
+        assert passage_prob(n, r) == brute.passage_prob_by_parity(n, r), n
+
+
+@pytest.mark.parametrize("route", (passage_prob, binomial_collision_prob), ids=("passage", "collision"))
+def test_closed_forms_refuse_one_trial_over_budget_before_allocating(route):
+    # at MAX_TRIALS + 1 a single float array of the trial count is 80 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="trials exceed the budget"):
+            route(MAX_TRIALS + 1, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("p", (0.0, 0.05, 0.3, 0.5, 0.8, 1.0))
