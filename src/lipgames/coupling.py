@@ -13,8 +13,10 @@ Reproducibility contract: replications are processed in fixed blocks of
 ``BLOCK_SIZE``; block b draws from a PCG64 generator seeded with
 ``SeedSequence(seed, spawn_key=(b,))``, and draws inside a block follow a
 fixed step-major order (per step, the block's uniforms, then its actions).
-Results are therefore bit-identical for a given
-``(n, k, delta, samples, seed)`` no matter how blocks are scheduled or cut.
+The actions are numpy's ``integers(0, k, dtype=np.int32)`` draw, rebuilt
+from raw 32-bit words (:func:`_draw_words`).  Results are therefore
+bit-identical for a given ``(n, k, delta, samples, seed)`` no matter how
+blocks are scheduled or cut.
 
 One private kernel walks a block's gap chains; the three public functions
 differ only in the per-step tally they hand it.  A request with more than
@@ -23,14 +25,15 @@ CPUs, one helper thread: the caller walks the first half of the
 replications and the helper the rest, so the block holding the cut is
 walked as two pieces.  Each piece draws from its own generator for the
 block and skips the other piece's share of every step with
-``bit_generator.advance``; a piece whose generator does not end where that
-arithmetic puts it (an action draw was rejected and redrawn) makes the
-caller walk the block again whole.  numpy releases the GIL inside
-generator fills and large ufunc loops, so the two threads overlap; the
-results are combined in replication order.  Requests above
-``MAX_REP_STEPS`` replication steps (samples times steps) are refused
-with :class:`~lipgames.errors.BudgetExceededError` before anything is
-allocated.
+``bit_generator.advance``; a piece that draws a rejected word (the
+rest of the block's stream shifts by one word) makes the caller walk the
+block again whole.  numpy releases the GIL inside generator fills and
+large ufunc loops, so the two threads overlap; the results are combined
+in replication order.  Requests above ``MAX_REP_STEPS`` replication steps
+(samples times steps), with more than ``MAX_ACTIONS`` actions, or, for
+:func:`mirrored_action_counts`, above ``MAX_TABLE_CELLS`` table cells are
+refused with :class:`~lipgames.errors.BudgetExceededError` before anything
+is allocated.
 """
 
 from __future__ import annotations
@@ -51,6 +54,14 @@ BLOCK_SIZE = 1 << 16
 #: a step's fixed cost in numpy calls outweighs its replications.
 MAX_REP_STEPS = 10**10
 _MIN_CHARGED = 1 << 12
+#: Largest ``n * k * blocks`` of :func:`mirrored_action_counts`.  It keeps
+#: one ``(n, k)`` int64 table per block until the end (8 MB at the limit)
+#: and makes k - 1 tally passes per step, about 23 us each over a full
+#: block, so at most about 25 s of tallies.
+MAX_TABLE_CELLS = 10**6
+#: Largest action count: the int32 draw whose stream the kernel reproduces
+#: takes ``k`` up to 2**31.
+MAX_ACTIONS = 2**31
 
 
 @dataclass(frozen=True)
@@ -83,6 +94,8 @@ class MeetTimeResult:
 def _check_params(n, k, delta, samples, seed):
     n = checks.count(n, "step count")
     k = checks.count(k, "action count", 2)
+    if k > MAX_ACTIONS:
+        raise BudgetExceededError(f"action count must be an integer <= 2**31, got {k!r}")
     checks.delta(delta)
     samples = checks.count(samples, "samples", 1)
     seed = checks.count(seed, "seed")
@@ -107,7 +120,44 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
 
 
 class _StreamSlip(Exception):
-    """A piece's generator left the no-rejection layout of its block."""
+    """A piece drew a rejected word, so its block's stream left the no-rejection layout."""
+
+
+def _edge(j: int, k: int) -> int:
+    """ceil(j * 2**32 / k): the smallest 32-bit word whose action is at least j."""
+    return -(-(j << 32) // k)
+
+
+def _draw_words(bit_generator, carry: np.ndarray, k: int, low: np.ndarray):
+    """The 32-bit words behind ``integers(0, k, low.size, dtype=np.int32)``.
+
+    numpy's Lemire draw takes 32-bit words one by one, the low half of each
+    64-bit output first and the high half buffered, turns word w into the
+    action floor(w * k / 2**32) and redraws while (w * k) mod 2**32 is below
+    2**32 mod k.  Here the words come from ``random_raw``; ``carry`` holds
+    the buffered half (zero or one word) and goes first.  ``low`` is
+    scratch for the words' (w * k) mod 2**32, reused between calls because
+    a fresh array per call costs page faults.  Returns the ``low.size`` kept
+    words, the half left buffered and whether any word was rejected.
+    """
+    count, limit = low.size, (1 << 32) % k
+    words = _raw_words(bit_generator, count - carry.size)
+    if carry.size:
+        words = np.concatenate((carry, words))
+    if not limit or np.multiply(words[:count], np.uint32(k), out=low).min() >= limit:
+        return words[:count], words[count:], False
+    kept = words * np.uint32(k) >= limit
+    while (have := np.count_nonzero(kept)) < count:
+        more = _raw_words(bit_generator, count - have)
+        words = np.concatenate((words, more))
+        kept = np.concatenate((kept, more * np.uint32(k) >= limit))
+    used = np.flatnonzero(kept)[count - 1] + 1
+    return words[:used][kept[:used]], words[used:], True
+
+
+def _raw_words(bit_generator, count: int) -> np.ndarray:
+    """The 32-bit words of the next ceil(count / 2) outputs, low half first on any byte order."""
+    return bit_generator.random_raw(-(-count // 2)).astype("<u8", copy=False).view("<u4")
 
 
 def _walk_block(
@@ -115,24 +165,28 @@ def _walk_block(
 ) -> int:
     """Walk replications [lo, hi) of a block of ``size`` for n steps; return how many never met.
 
-    Before each step's gap update, ``tally(step, chi, u, alive, up, down)``
-    sees the step's perturbation flags and actions, the chains still apart
-    and the pre-meeting down and up moves, each ``hi - lo`` long.  The
-    arrays are reused between steps.  ``integers(..., dtype=np.int32)`` and
-    ``random(out=)`` draw the same values and leave the same generator
-    state as the default int64 draw and ``random(width)`` (pinned by the
-    tests).
+    Each step draws the block's uniforms with ``random(out=)`` and then its
+    actions' 32-bit words with :func:`_draw_words`, so the stream is that of
+    ``random(size)`` followed by ``integers(0, k, size, dtype=np.int32)``
+    (pinned by the tests).  A word w is action 0 below ``_edge(1, k)`` and
+    action 1 from there below ``_edge(2, k)``.  Before each step's gap
+    update, ``tally(step, chi, words, alive, up, down)`` sees the step's
+    perturbation flags and action words, the chains still apart and the
+    pre-meeting down and up moves, each ``hi - lo`` long.  The arrays are
+    reused or redrawn between steps.
 
     A piece (less than the whole block; ``size``, ``lo`` and ``hi`` even) skips
     the other replications of every step: a uniform is one 64-bit output
-    and two int32 actions share one.  That holds while no action draw is
-    rejected, so a piece whose generator does not end at ``n * 3 * size / 2``
-    outputs raises :class:`_StreamSlip`.
+    and two action words share one.  That holds while no word is rejected,
+    so a piece raises :class:`_StreamSlip` at its first rejected word.
     """
     rng = _block_rng(seed, block)
+    bit_generator = rng.bit_generator
     width = hi - lo
-    # advance() drops a buffered half output, so a whole block never calls it.
-    advance = rng.bit_generator.advance if width < size else lambda outputs: None
+    # A whole block skips nothing, so it saves the advance() calls.
+    advance = bit_generator.advance if width < size else lambda outputs: None
+    # _edge(2, k) is 2**32 at k = 2, so action 1 is tested as <= its last word.
+    down_edge, up_last = _edge(1, k), _edge(2, k) - 1
     uniforms = np.empty(width)
     chi, active, up, down = (np.empty(width, dtype=bool) for _ in range(4))
     alive = np.ones(width, dtype=bool)
@@ -140,28 +194,27 @@ def _walk_block(
     # at 1 when they meet, so alive means gap < 1 and the gap fits in the
     # smallest signed type holding -n.
     gap = np.zeros(width, dtype=np.min_scalar_type(-max(n, 1)))
+    carry, low = np.empty(0, dtype=np.uint32), np.empty(width, dtype=np.uint32)
     for step in range(n):
         advance(lo)
         rng.random(out=uniforms)
         np.less(uniforms, delta, out=chi)
         advance(size - hi + lo // 2)
-        u = rng.integers(0, k, width, dtype=np.int32)
+        words, carry, rejected = _draw_words(bit_generator, carry, k, low)
+        if rejected and width < size:
+            raise _StreamSlip
         advance((size - hi) // 2)
         np.logical_and(chi, alive, out=active)
-        np.equal(u, 1, out=up)
+        np.less(words, down_edge, out=down)
+        np.less_equal(words, up_last, out=up)
+        up ^= down
         up &= active
-        np.equal(u, 0, out=down)
         down &= active
         if tally is not None:
-            tally(step, chi, u, alive, up, down)
+            tally(step, chi, words, alive, up, down)
         gap += up
         gap -= down
         np.less(gap, 1, out=alive)
-    if width < size:
-        expected = _block_rng(seed, block).bit_generator.advance(n * (size + size // 2)).state
-        state = rng.bit_generator.state
-        if (state["state"], state["has_uint32"]) != (expected["state"], expected["has_uint32"]):
-            raise _StreamSlip
     return int(np.count_nonzero(alive))
 
 
@@ -264,7 +317,7 @@ def simulate_meet_time(n: int, k: int, delta: float, samples: int, seed: int) ->
         # never met); the last two entries count the down and up moves.
         tallies = np.zeros(n + 3, dtype=np.int64)
 
-        def tally(step, chi, u, alive, up, down):
+        def tally(step, chi, words, alive, up, down):
             tallies[step] = np.count_nonzero(alive)
             tallies[n + 1] += np.count_nonzero(down)
             tallies[n + 2] += np.count_nonzero(up)
@@ -291,25 +344,37 @@ def mirrored_action_counts(
     ``samples * perturbed_action_law(baseline, k, delta)``: the mirror is a
     bijection on uniform draws, so mirroring never distorts the marginals.
     The default baseline is the worst-case witness's action: 2 for k >= 3,
-    0 for k = 2.
+    0 for k = 2.  One table is kept per block, so ``n * k`` times the
+    block count may not exceed ``MAX_TABLE_CELLS``.
     """
     n, k, delta, samples, seed = _check_params(n, k, delta, samples, seed)
     if baseline is None:
         baseline = 2 if k >= 3 else 0
     baseline = checks.index(baseline, k, "baseline action")
+    blocks = -(-samples // BLOCK_SIZE)
+    if n * k * blocks > MAX_TABLE_CELLS:
+        raise BudgetExceededError(
+            f"{blocks} tables of {n} steps by {k} actions exceed the budget of {MAX_TABLE_CELLS} cells"
+        )
 
     def run(block, size, lo, hi):
         table = np.zeros((n, k), dtype=np.int64)
         drawn = np.empty(hi - lo, dtype=bool)
 
-        def tally(step, chi, u, alive, up, down):
-            # Tally the unmirrored perturbed draws, then move the live
-            # chains' draws on 0 and 1 across, as the mirror does.
+        def tally(step, chi, words, alive, up, down):
+            # Tally the unmirrored perturbed draws (those below edge j took
+            # an action below j), then move the live chains' draws on 0
+            # and 1 across, as the mirror does.
             row = table[step]
-            for j in range(k):
-                np.logical_and(np.equal(u, j, out=drawn), chi, out=drawn)
-                row[j] = np.count_nonzero(drawn)
-            row[baseline] += hi - lo - np.count_nonzero(chi)
+            perturbed = np.count_nonzero(chi)
+            below = 0
+            for j in range(1, k):
+                np.logical_and(np.less(words, _edge(j, k), out=drawn), chi, out=drawn)
+                counted = np.count_nonzero(drawn)
+                row[j - 1] = counted - below
+                below = counted
+            row[k - 1] = perturbed - below
+            row[baseline] += hi - lo - perturbed
             moved = np.count_nonzero(up) - np.count_nonzero(down)
             row[0] += moved
             row[1] -= moved

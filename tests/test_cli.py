@@ -124,6 +124,19 @@ def test_coupling_replication_budget_exit_code(capsys, command, n, samples):
     assert "\n" not in err.strip()
 
 
+@pytest.mark.parametrize("command", ("coupling", "meet-time"))
+def test_coupling_action_count_cap_exit_code(capsys, command):
+    args = ("--n", "3", "--delta", "0.3", "--samples", "100", "--seed", "1")
+    code, out, err = run_cli(capsys, command, "--k", str(2**31), *args)
+    assert (code, err) == (0, "")
+    assert parse_kv(out)["samples"] == "100"
+    code, out, err = run_cli(capsys, command, "--k", str(2**31 + 1), *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: BudgetExceededError: action count")
+    assert "\n" not in err.strip()
+
+
 def test_memory_error_is_one_line_exit_2(capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError("Unable to allocate 80.0 GiB")

@@ -268,6 +268,34 @@ def test_int32_action_draw_matches_default_int64_draw(k, size):
         narrow.random(size)
 
 
+@pytest.mark.parametrize("size", (1, 2, 8191, BLOCK_SIZE + 1))
+@pytest.mark.parametrize("k", (2, 3, 4, 5, 6, 7, 2**30 + 1))
+def test_raw_words_reproduce_the_int32_action_draw(k, size):
+    """The kernel's raw words, cut at the edges, are the actions of ``integers(0, k, dtype=np.int32)``.
+
+    They must also leave the generator where the int32 draw does: the same
+    PCG64 state, with the carried word as numpy's buffered half output.
+    """
+    reference, raw = _block_rng(33, k), _block_rng(33, k)
+    carry, low = np.empty(0, dtype=np.uint32), np.empty(size, dtype=np.uint32)
+    for _ in range(3):
+        actions = reference.integers(0, k, size, dtype=np.int32)
+        words, carry, _ = coupling._draw_words(raw.bit_generator, carry, k, low)
+        assert words.size == size
+        assert np.array_equal(words.astype(np.uint64) * k >> 32, actions)  # Lemire's action
+        assert np.array_equal(words < coupling._edge(1, k), actions == 0)
+        assert np.array_equal(words <= coupling._edge(2, k) - 1, actions <= 1)
+        if k <= 7:
+            below = [np.count_nonzero(words < coupling._edge(j, k)) for j in range(1, k)]
+            assert np.array_equal(np.diff([0, *below, size]), np.bincount(actions, minlength=k))
+        state = reference.bit_generator.state
+        assert raw.bit_generator.state["state"] == state["state"]
+        assert carry.size == state["has_uint32"]
+        assert carry.tolist() == [state["uinteger"]] * carry.size
+        reference.random(size)
+        raw.random(size)
+
+
 @pytest.mark.parametrize("size", (1, 8191, 8192, 8193, BLOCK_SIZE - 5, BLOCK_SIZE))
 def test_chunked_uniform_draw_matches_one_call(size):
     """The kernel refills one reused buffer with ``random(out=)``; the stream must
@@ -362,6 +390,53 @@ def test_rejected_action_draw_in_the_cut_block_rewalks_it(monkeypatch, k, sample
         assert calls[-1] == (0, 0, BLOCK_SIZE)  # the re-walk, after both pieces
 
 
+@pytest.mark.parametrize("k", (3, 5))
+def test_rejected_action_draw_in_a_whole_block_matches_the_reference_loops(monkeypatch, k):
+    """Seed 3407's zero word (see above) redrawn inside a block walked whole, on one CPU."""
+    n, delta, seed, samples = 12, 0.45, 3407, 100_000
+    monkeypatch.setattr(coupling, "_cpu_count", lambda: 1)
+    assert simulate_coupling(n, k, delta, samples, seed).estimate == (
+        _reference_never(n, k, delta, samples, seed) / samples
+    )
+    res = simulate_meet_time(n, k, delta, samples, seed)
+    counts, transitions = _reference_meet_time(n, k, delta, samples, seed)
+    assert np.array_equal(res.counts, counts) and np.array_equal(res.transitions, transitions)
+    for baseline in (1, 2):
+        assert np.array_equal(mirrored_action_counts(n, k, delta, samples, seed, baseline),
+                              _reference_mirrored(n, k, delta, samples, seed, baseline))
+
+
+@pytest.mark.parametrize("cpus", (1, 2))
+@pytest.mark.parametrize("samples", (1, 7, 4001, BLOCK_SIZE + 3))
+def test_frequent_rejections_match_the_reference_loops(monkeypatch, samples, cpus):
+    """At k = 2**30 + 1 numpy redraws 2**32 mod k = 2**30 - 3 of the 2**32 words, about a quarter.
+
+    Odd widths leave half an output buffered between steps; on two CPUs
+    the cut block slips and is walked again whole.
+    """
+    n, k, delta, seed = 6, 2**30 + 1, 0.7, 90 + samples
+    monkeypatch.setattr(coupling, "_cpu_count", lambda: cpus)
+    assert simulate_coupling(n, k, delta, samples, seed).estimate == (
+        _reference_never(n, k, delta, samples, seed) / samples
+    )
+    res = simulate_meet_time(n, k, delta, samples, seed)
+    counts, transitions = _reference_meet_time(n, k, delta, samples, seed)
+    assert np.array_equal(res.counts, counts) and np.array_equal(res.transitions, transitions)
+    # The walk hardly ever moves at this k, so also check the draws the
+    # kernel hands its tally against the reference stream.
+    for block, size in enumerate(_block_sizes(samples)):
+        drawn = []
+
+        def tally(step, chi, words, *moves):
+            drawn.append((chi.copy(), words.astype(np.uint64) * k >> 32))
+
+        coupling._walk_block(n, k, delta, seed, block, size, 0, size, tally)
+        rng = _block_rng(seed, block)
+        for chi, actions in drawn:
+            assert np.array_equal(chi, rng.random(size) < delta)
+            assert np.array_equal(actions, rng.integers(0, k, size))
+
+
 def test_helper_thread_error_reraises_in_caller(monkeypatch):
     kernel = coupling._walk_block
     threads = set()
@@ -441,6 +516,47 @@ def test_replication_step_budget_is_checked_before_running(monkeypatch):
         simulate_meet_time(5, 3, 0.3, floor + 1, seed=0)
     with pytest.raises(BudgetExceededError):
         simulate_meet_time(6, 3, 0.3, 1, seed=0)
+
+
+def test_action_count_is_capped_at_two_to_the_31(monkeypatch):
+    largest = coupling.MAX_ACTIONS
+    assert largest == 2**31  # the largest k of integers(0, k, dtype=np.int32)
+    assert simulate_coupling(3, largest, 0.3, 100, seed=1).estimate == 1.0
+    assert simulate_meet_time(3, largest, 0.3, 100, seed=1).counts[-1] == 100
+    assert mirrored_action_counts(0, largest, 0.3, 100, seed=1).shape == (0, largest)
+
+    def no_walk(*args):
+        raise AssertionError("a block was walked")
+
+    monkeypatch.setattr(coupling, "_map_blocks", no_walk)
+    for simulate in (simulate_coupling, simulate_meet_time, mirrored_action_counts):
+        for k in (largest + 1, 2**32):
+            with pytest.raises(BudgetExceededError, match="action count"):
+                simulate(3, k, 0.3, 100, seed=1)
+
+
+def test_mirrored_table_cells_are_checked_before_running(monkeypatch):
+    limit = coupling.MAX_TABLE_CELLS
+    walk = coupling._map_blocks
+
+    def no_walk(*args):
+        raise AssertionError("a block was walked")
+
+    monkeypatch.setattr(coupling, "_map_blocks", no_walk)
+    with pytest.raises(BudgetExceededError, match="cells"):  # one table, one step too wide
+        mirrored_action_counts(1, limit + 1, 0.3, 1, seed=0)
+    with pytest.raises(BudgetExceededError, match="cells"):  # one table, too many steps
+        mirrored_action_counts(limit // 4 + 1, 4, 0.3, 1, seed=0)
+    with pytest.raises(BudgetExceededError, match="cells"):  # one table per block
+        mirrored_action_counts(10, 10, 0.3, (limit // 100) * BLOCK_SIZE + 1, seed=0)
+    monkeypatch.setattr(coupling, "_map_blocks", walk)
+    # The coupling and meet-time walks keep no table.
+    assert simulate_coupling(1, limit + 1, 0.3, 100, seed=0).samples == 100
+    assert simulate_meet_time(1, limit + 1, 0.3, 100, seed=0).counts.sum() == 100
+    monkeypatch.setattr(coupling, "MAX_TABLE_CELLS", 3 * 4 * 5)
+    assert np.all(mirrored_action_counts(3, 4, 0.3, 5 * BLOCK_SIZE, seed=0).sum(axis=1) == 5 * BLOCK_SIZE)
+    with pytest.raises(BudgetExceededError, match="cells"):
+        mirrored_action_counts(3, 4, 0.3, 5 * BLOCK_SIZE + 1, seed=0)
 
 
 @pytest.mark.parametrize(
