@@ -8,7 +8,11 @@ rank of the opponents' count vector).
 ``delta = 0`` is accepted everywhere in this module and means the
 unperturbed game; ``delta > 0`` evaluates expectations under the perturbed
 profile exactly, via the count-vector dynamic program of
-:mod:`lipgames.oracle`.
+:mod:`lipgames.oracle`.  Payoffs and regrets of one profile fold their
+opponents' laws with :func:`~lipgames.oracle.count_distribution`;
+:func:`find_eps_nash` builds the laws of every opponent count class in one
+batch and scans the profiles against a table of per-player verdicts keyed
+by (player, own action, the profile's count vector).
 """
 
 from __future__ import annotations
@@ -23,10 +27,12 @@ import numpy as np
 
 from . import checks
 from .errors import BudgetExceededError
-from .oracle import count_distribution, count_vector_rank
+from .oracle import DEFAULT_CELL_BUDGET, _class_laws, _depth, count_distribution, count_vector_rank
 
 #: Default ceiling on the number of profiles an exhaustive scan may visit.
 DEFAULT_PROFILE_BUDGET = 10**7
+#: Most profiles the scan checks in one vectorised block.
+_SCAN_BLOCK = 1 << 14
 _NUMBER = (int, float, np.integer, np.floating)
 
 
@@ -82,30 +88,27 @@ def _check_profile(game: AnonymousGame, profile: Sequence[int]) -> tuple[int, ..
     return profile
 
 
-def _declared_values(
-    game: AnonymousGame, profile, player: int, delta: float, memo: dict
-) -> tuple[np.ndarray, np.ndarray]:
-    """Expected payoff of each action against the perturbed opponents.
+def _opponent_law(game: AnonymousGame, others, delta: float, class_laws=None):
+    """Law of the opponents' count vector: a row of ``class_laws`` when given,
+    else their :func:`count_distribution`; its rank when delta = 0."""
+    counts = [0] * game.k
+    for a in others:
+        counts[a] += 1
+    if delta == 0.0:
+        return count_vector_rank(counts)
+    if class_laws is not None:
+        return class_laws[count_vector_rank(counts)]
+    return count_distribution(others, game.k, delta).probs
+
+
+def _values(game: AnonymousGame, player: int, law, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Expected payoff of each action against the perturbed opponents' ``law``.
 
     Returns ``(base, declared)``: ``base[b]`` is the payoff of playing b
     outright, and ``declared[b]`` that of announcing b, i.e. playing b with
-    probability 1 - delta and a uniform action otherwise.  The opponents'
-    law depends only on their count vector, so ``memo`` maps their sorted
-    actions to its probabilities (to its rank when delta = 0) across calls
-    with the same game and delta.
+    probability 1 - delta and a uniform action otherwise.  At delta = 0
+    ``law`` is the rank of the opponents' count vector.
     """
-    others = profile[:player] + profile[player + 1 :]
-    key = tuple(sorted(others))
-    law = memo.get(key)
-    if law is None:
-        if delta == 0.0:
-            counts = [0] * game.k
-            for a in others:
-                counts[a] += 1
-            law = count_vector_rank(counts)
-        else:
-            law = count_distribution(key, game.k, delta).probs
-        memo[key] = law
     if delta == 0.0:
         base = game.payoffs[player, :, law]
         return base, base
@@ -118,7 +121,8 @@ def perturbed_payoff(game: AnonymousGame, profile: Sequence[int], player: int, d
     profile = _check_profile(game, profile)
     checks.delta(delta, zero_ok=True)
     checks.index(player, game.n, "player")
-    return float(_declared_values(game, profile, player, delta, {})[1][profile[player]])
+    law = _opponent_law(game, profile[:player] + profile[player + 1 :], delta)
+    return float(_values(game, player, law, delta)[1][profile[player]])
 
 
 def payoff(game: AnonymousGame, profile: Sequence[int], player: int) -> float:
@@ -135,19 +139,22 @@ def regret(game: AnonymousGame, profile: Sequence[int], delta: float) -> RegretR
     """
     profile = _check_profile(game, profile)
     checks.delta(delta, zero_ok=True)
-    return _regret(game, profile, delta, {})
+    return _regret(game, profile, delta)
 
 
-def _regret(game: AnonymousGame, profile: tuple[int, ...], delta: float, memo: dict) -> RegretReport:
+def _regret(game: AnonymousGame, profile: tuple[int, ...], delta: float, class_laws=None) -> RegretReport:
+    laws: dict = {}  # players of one action face the same opponents' count vector
     per_player = []
     worst = unperturbed = 0.0
-    for i in range(game.n):
-        base, values = _declared_values(game, profile, i, delta, memo)
+    for i, a in enumerate(profile):
+        if a not in laws:
+            laws[a] = _opponent_law(game, profile[:i] + profile[i + 1 :], delta, class_laws)
+        base, values = _values(game, i, laws[a], delta)
         best = int(np.argmax(values))
-        gain = float(values[best] - values[profile[i]])
+        gain = float(values[best] - values[a])
         per_player.append((best, gain))
         worst = max(worst, gain)
-        unperturbed = max(unperturbed, float(base.max() - values[profile[i]]))
+        unperturbed = max(unperturbed, float(base.max() - values[a]))
     return RegretReport(worst, tuple(per_player), unperturbed)
 
 
@@ -161,7 +168,7 @@ def regret_in_unperturbed(game: AnonymousGame, profile: Sequence[int], delta: fl
     """
     profile = _check_profile(game, profile)
     checks.delta(delta, zero_ok=True)
-    return _regret(game, profile, delta, {}).unperturbed_regret
+    return _regret(game, profile, delta).unperturbed_regret
 
 
 def find_eps_nash(
@@ -175,26 +182,102 @@ def find_eps_nash(
     Scans all ``k**n`` pure profiles and returns ``None`` only after the
     whole space has been checked, certifying that no pure eps-equilibrium of
     the delta-perturbed game exists.  Instances with more than
-    ``profile_budget`` profiles are refused.
+    ``profile_budget`` profiles are refused.  For delta > 0 the laws of all
+    ``classes = C(n + k - 2, k - 1)`` opponent count classes are built in
+    one batch (:func:`lipgames.oracle._class_laws`); that build's
+    ``classes**2`` cells are charged against
+    :data:`lipgames.oracle.DEFAULT_CELL_BUDGET`, and larger games are
+    refused too.
+
+    Whether player i may play a in a profile depends only on (i, a, the
+    profile's count vector), so the scan reads a table of those verdicts,
+    each filled on first use by one matrix-vector product per opponent
+    class and player.
     """
     checks.delta(delta, zero_ok=True)
     checks.bound(eps, "eps", zero_ok=True)
     profile_budget = checks.count(profile_budget, "profile budget")
-    total = game.k**game.n
+    n, k = game.n, game.k
+    total = k**n
     if total > profile_budget:
         raise BudgetExceededError(
             f"{total} profiles exceed the scan budget of {profile_budget}"
         )
-    memo: dict = {}
-    for profile in itertools.product(range(game.k), repeat=game.n):
-        admissible = True
-        for i in range(game.n):
-            values = _declared_values(game, profile, i, delta, memo)[1]
-            if float(values.max() - values[profile[i]]) > eps:
-                admissible = False
+    class_laws = None
+    if delta > 0.0:
+        cells = math.comb(n + k - 2, k - 1) ** 2
+        if cells > DEFAULT_CELL_BUDGET:
+            raise BudgetExceededError(
+                f"opponent laws need {cells} cells, over the budget of {DEFAULT_CELL_BUDGET}"
+            )
+        class_laws = _class_laws(n - 1, k, delta)
+    profile = _first_admissible(game, delta, eps, class_laws)
+    if profile is None:
+        return None
+    return SearchResult(profile, _regret(game, profile, delta, class_laws))
+
+
+def _blocks(n: int, k: int):
+    """Blocks ``(head, tail, first)`` that cover all ``k**n`` profiles in lexicographic order.
+
+    A block holds the profiles that start with the actions ``head`` and end
+    with the ``tail``-action suffixes of index ``first`` to ``k**tail - 1``.
+    Blocks grow from k profiles to at most :data:`_SCAN_BLOCK`, so a scan
+    that stops early checks few profiles.
+    """
+    tail = 1
+    yield (0,) * (n - 1), 1, 0
+    while tail < n and k ** (tail + 1) <= _SCAN_BLOCK:
+        tail += 1
+        yield (0,) * (n - tail), tail, k ** (tail - 1)
+    heads = itertools.product(range(k), repeat=n - tail)
+    next(heads)  # all zeros: covered above
+    yield from ((head, tail, 0) for head in heads)
+
+
+def _first_admissible(game: AnonymousGame, delta: float, eps: float, class_laws) -> Optional[tuple[int, ...]]:
+    """Lexicographically first profile every player of which has regret at most eps.
+
+    Within a block of :func:`_blocks` the players are checked one at a
+    time, each against the profiles that every earlier player admits.
+    """
+    n, k = game.n, game.k
+    depths = [_depth(t, k) for t in range(n)]
+    top = depths[-1].maps  # top[a, r]: the profile's class when opponents of class r meet action a
+    own = np.arange(k)
+    # verdict[i, a, c]: 1 if player i may play a in a profile of count class c,
+    # 0 if not, -1 until first needed
+    verdict = np.full((n, k, math.comb(n + k - 1, k - 1)), -1, dtype=np.int8)
+    opponents = np.zeros(verdict.shape[1:], dtype=np.int64)  # class r of top[a, r], by (a, top[a, r])
+    for a in range(k):
+        opponents[a, top[a]] = np.arange(top.shape[1])
+
+    def fill(i: int, a: np.ndarray, c: np.ndarray) -> None:
+        for r in set(opponents[a, c].tolist()):
+            law = r if class_laws is None else class_laws[r]
+            values = _values(game, i, law, delta)[1]
+            verdict[i, own, top[:, r]] = values.max() - values <= eps
+
+    for head, tail, first in _blocks(n, k):
+        index = np.arange(first, k**tail)
+        actions = [np.full(len(index), a) for a in head]
+        actions += [index // k ** (tail - 1 - i) % k for i in range(tail)]
+        classes = np.zeros(len(index), dtype=np.int64)
+        for depth, a in zip(depths, actions):
+            classes = depth.maps[a, classes]
+        alive = np.arange(len(index))
+        for i, a in enumerate(actions):
+            a, c = a[alive], classes[alive]
+            ok = verdict[i, a, c]
+            missing = ok < 0
+            if missing.any():
+                fill(i, a[missing], c[missing])
+                ok = verdict[i, a, c]
+            alive = alive[ok > 0]
+            if not alive.size:
                 break
-        if admissible:
-            return SearchResult(profile, _regret(game, profile, delta, memo))
+        else:
+            return tuple(int(a[alive[0]]) for a in actions)
     return None
 
 

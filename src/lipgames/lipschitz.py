@@ -202,8 +202,11 @@ def delta_fixed_point(n: int, k: int, tol: float = 1e-10) -> FixedPoint:
 
     Returns ``(delta, value)`` with ``|value - delta| <= tol``.  The gap
     ``lambda - delta`` is positive near 0 and negative near 1, which
-    brackets a root; monotonicity in delta is not assumed, so the residual
-    is verified instead of claiming uniqueness.  Perturbing every action by
+    brackets a root.  For k >= 3 and for k = 2 at even n the root is
+    unique: lambda is then ``1 - delta`` times a walk or collision
+    probability that does not grow with delta, so it strictly decreases
+    (tested on a grid).  At odd n with k = 2 monotonicity is not claimed;
+    there the residual is verified, not assumed.  Perturbing every action by
     this delta leaves some profile within ``2 * k * value`` of a best
     response, hence a ``2 * delta``-equilibrium of the perturbed game.
 

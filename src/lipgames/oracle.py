@@ -5,6 +5,12 @@ occupancy count vectors of perturbed profiles exactly and maximises the
 total variation distance between the two one-player shifts.  It shares no
 probabilistic code with the walk or Poisson Binomial modules.
 
+Laws of every count class of m players are folded in one batch, one depth
+(player count) at a time, each depth held states-major so that adding a
+player scatters whole contiguous rows; the delta-free index data of each
+depth is built once per process.  :func:`lipschitz_oracle` and the
+equilibrium search of :mod:`lipgames.games` share that builder.
+
 Actions are 0-based throughout the package; the pair of actions the
 deviating player toggles between is fixed to (0, 1), which is without loss
 of generality by symmetry.
@@ -60,16 +66,52 @@ def count_vector_rank(counts: Sequence[int]) -> int:
     return rank
 
 
+def _count_vector_unrank(rank: int, m: int, k: int) -> tuple[int, ...]:
+    """The k-part composition of m with lexicographic rank ``rank``: :func:`count_vector_rank` inverted."""
+    counts = []
+    for parts in range(k, 1, -1):
+        first = 0
+        # ``block`` compositions of m into ``parts`` parts start with ``first``
+        while rank >= (block := math.comb(m - first + parts - 2, parts - 2)):
+            rank -= block
+            first += 1
+        counts.append(first)
+        m -= first
+    return (*counts, m)
+
+
+class _Depth(NamedTuple):
+    """Delta-free index data of one fold step, from compositions of t to those of t + 1."""
+
+    #: ``maps[j, r]``: rank at t + 1 of the r-th composition of t plus one action j.
+    maps: np.ndarray
+    #: ``maps[j]`` as a slice where it is contiguous (always at k = 2), else ``maps[j]``.
+    targets: tuple
+    #: Per composition of t + 1: its largest action.
+    actions: np.ndarray
+    #: Per composition of t + 1: the rank at t of it less one of its largest action.
+    parents: np.ndarray
+
+
 @functools.lru_cache(maxsize=None)
-def _add_action_maps(total: int, k: int) -> np.ndarray:
-    """Index maps from compositions of ``total`` to ``total + 1`` under adding one action."""
-    vecs = count_vectors(total, k)
+def _depth(t: int, k: int) -> _Depth:
+    vecs = count_vectors(t, k)
     maps = np.empty((k, len(vecs)), dtype=np.int64)
     for idx, c in enumerate(vecs):
         for j in range(k):
-            bumped = c[:j] + (c[j] + 1,) + c[j + 1 :]
-            maps[j, idx] = count_vector_rank(bumped)
-    return maps
+            maps[j, idx] = count_vector_rank(c[:j] + (c[j] + 1,) + c[j + 1 :])
+    # maps[j] is increasing, since adding one action keeps lexicographic order
+    targets = tuple(
+        slice(int(row[0]), int(row[-1]) + 1) if row[-1] - row[0] == len(row) - 1 else row for row in maps
+    )
+    actions = np.empty(math.comb(t + k, k - 1), dtype=np.int64)
+    parents = np.empty_like(actions)
+    for j, row in enumerate(maps):  # a later (larger) action overwrites
+        actions[row] = j
+        parents[row] = np.arange(len(vecs))
+    for shared in (maps, actions, parents):  # the cache hands them to every caller
+        shared.flags.writeable = False
+    return _Depth(maps, targets, actions, parents)
 
 
 def perturbed_action_law(j: int, k: int, delta: float) -> np.ndarray:
@@ -118,19 +160,43 @@ class CountDistribution:
 def _fold(probs: np.ndarray, t: int, law: np.ndarray, k: int) -> np.ndarray:
     """Occupancy law of ``t + 1`` players from that of the first ``t`` and the next player's law.
 
-    ``probs`` and ``law`` may be batches, one law per row.  The scatter
-    order over actions is fixed, so equal inputs give bit-identical outputs
-    whichever caller folds them.
+    States-major: ``probs`` is (states,) or (states, rows) and ``law`` is
+    (k,) or (k, rows), one law per row, so each action scatters whole
+    contiguous rows.  The scatter order over actions is fixed, so equal
+    inputs give bit-identical outputs whichever caller folds them.
     """
-    maps = _add_action_maps(t, k)
-    nxt = np.zeros(probs.shape[:-1] + (math.comb(t + k, k - 1),))
-    for j in range(k):
-        nxt[..., maps[j]] += law[..., j, None] * probs
+    nxt = np.zeros((math.comb(t + k, k - 1),) + probs.shape[1:])
+    for j, target in enumerate(_depth(t, k).targets):
+        nxt[target] += law[j] * probs
     return nxt
 
 
 def _action_laws(k: int, delta: float) -> np.ndarray:
-    return np.array([perturbed_action_law(j, k, delta) for j in range(k)])
+    """Row j: :func:`perturbed_action_law` of action j, unchecked."""
+    laws = np.full((k, k), delta / k)
+    laws.flat[:: k + 1] += 1.0 - delta
+    return laws
+
+
+def _class_laws(m: int, k: int, delta: float) -> np.ndarray:
+    """Occupancy law of every count class of m players, a row each, in :func:`count_vectors` order.
+
+    Laws are folded one depth (player count) at a time and held
+    states-major: at depth t, column r is the law of the first t sorted
+    players of every class whose sorted actions start with the r-th
+    composition of t.  Column c of depth t + 1 extends the column of c
+    less one of its largest action by a player of that action.  So each
+    prefix is folded once, each class in :func:`count_distribution`'s
+    player order, and every row is bit-identical to that function's law.
+    The result is a contiguous (classes x states) copy of the last depth.
+    """
+    laws = _action_laws(k, delta).T  # laws[j, a]: P(a player declaring a plays j)
+    probs = np.ones((1, 1))
+    for t in range(m):
+        depth = _depth(t, k)
+        probs = probs.take(depth.parents, axis=1)
+        probs = _fold(probs, t, laws[:, depth.actions], k)
+    return np.ascontiguousarray(probs.T)
 
 
 def count_distribution(profile: Sequence[int], k: int, delta: float) -> CountDistribution:
@@ -142,6 +208,7 @@ def count_distribution(profile: Sequence[int], k: int, delta: float) -> CountDis
     """
     checks.count(k, "action count", 2)
     actions = sorted(checks.index(a, k, "profile action") for a in profile)
+    checks.delta(delta)
     laws = _action_laws(k, delta)
     probs = np.array([1.0])
     for t, action in enumerate(actions):
@@ -151,10 +218,10 @@ def count_distribution(profile: Sequence[int], k: int, delta: float) -> CountDis
 
 def _shift_tv(probs: np.ndarray, m: int, k: int, j1: int, j2: int) -> np.ndarray:
     """TV distance between the law ``probs`` of m players plus one on j1 vs on j2, per row."""
-    maps = _add_action_maps(m, k)
+    targets = _depth(m, k).targets
     diff = np.zeros(probs.shape[:-1] + (math.comb(m + k, k - 1),))
-    diff[..., maps[j1]] = probs
-    diff[..., maps[j2]] -= probs
+    diff[..., targets[j1]] = probs
+    diff[..., targets[j2]] -= probs
     return 0.5 * np.abs(diff, out=diff).sum(axis=-1)
 
 
@@ -185,11 +252,10 @@ def lipschitz_oracle(
     exact ties are not decided by rounding noise.  Instances whose
     ``classes x states`` product exceeds ``cell_budget`` are refused.
 
-    Laws are folded one depth (player count) at a time, every prefix of
-    that depth a row of one array, in :func:`count_distribution`'s player
-    order, so values are bit-identical to folding each class alone.  A
-    depth is held whole, so the cell budget bounds memory too: under 40
-    bytes per cell, about 400 MB at the default budget.
+    The class laws come from :func:`_class_laws`, bit-identical to folding
+    each class alone, and only the witness's row is unranked into its
+    count vector.  A depth is held whole, so the cell budget bounds memory
+    too: under 40 bytes per cell, about 400 MB at the default budget.
     """
     checks.instance(n, k, delta)
     cell_budget = checks.count(cell_budget, "cell budget")
@@ -199,17 +265,7 @@ def lipschitz_oracle(
         raise BudgetExceededError(
             f"oracle instance needs {cells} cells, over the budget of {cell_budget}"
         )
-    laws = _action_laws(k, delta)
-    # Row r of depth t: the first t sorted players of the classes starting
-    # with the r-th composition of t.  A child adds one player of an action
-    # at least its parent's largest, so each prefix is folded once, in order.
-    probs, last = np.ones((1, 1)), np.zeros(1, dtype=np.int64)
-    for t in range(m):
-        actions, parents = np.nonzero(last <= np.arange(k)[:, None])
-        order = np.argsort(_add_action_maps(t, k)[actions, parents])
-        actions, probs = actions[order], probs[parents[order]]
-        probs, last = _fold(probs, t, laws[actions], k), actions
-    values = _shift_tv(probs, m, k, 0, 1)
+    values = _shift_tv(_class_laws(m, k, delta), m, k, 0, 1)
     best = float(values.max())
-    witness = count_vectors(m, k)[int(np.argmax(values >= best - 1e-12))]
+    witness = _count_vector_unrank(int(np.argmax(values >= best - 1e-12)), m, k)
     return OracleResult((1.0 - delta) * best, witness)

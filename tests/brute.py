@@ -7,7 +7,8 @@ slow routes the library replaced, kept as cross-checks at sizes enumeration
 cannot reach: :func:`split_scan`, the O(n^3) convolution scan behind the
 split maximum, :func:`bisect_fixed_point`, the plain bisection behind
 ``delta_fixed_point``, and :func:`passage_prob_by_parity`, the full-length
-parity product behind ``passage_prob``.
+parity product behind ``passage_prob``, and :func:`scan_eps_nash`, the
+per-profile equilibrium scan behind ``find_eps_nash``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from lipgames import count_vector_rank, lipschitz_constant
+from lipgames import RegretReport, SearchResult, count_distribution, count_vector_rank, lipschitz_constant
 from lipgames.integer_pmf import binomial_probs
 from lipgames.poisson_binomial import TIE_TOL
 
@@ -218,3 +219,55 @@ def normal_gap(pmf_items, mu, sigma):
         density = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
         worst = max(worst, abs(sigma * p - density))
     return worst
+
+
+def _declared_values(game, profile, player, delta, memo):
+    """Payoffs of each action outright and announced, against the perturbed opponents.
+
+    ``memo`` maps the opponents' sorted actions to their law (to its rank
+    when delta = 0), built by ``count_distribution`` on first use.
+    """
+    others = profile[:player] + profile[player + 1 :]
+    key = tuple(sorted(others))
+    law = memo.get(key)
+    if law is None:
+        if delta == 0.0:
+            counts = [0] * game.k
+            for a in others:
+                counts[a] += 1
+            law = count_vector_rank(counts)
+        else:
+            law = count_distribution(key, game.k, delta).probs
+        memo[key] = law
+    if delta == 0.0:
+        base = game.payoffs[player, :, law]
+        return base, base
+    base = game.payoffs[player] @ law
+    return base, (1.0 - delta) * base + (delta / game.k) * base.sum()
+
+
+def scan_eps_nash(game, delta, eps):
+    """First eps-equilibrium by checking every profile's players in turn, or None.
+
+    Each (profile, player) pair reads its opponents' law from one memo, and
+    the report of the profile found is built from the same memo.
+    """
+    memo = {}
+    for profile in itertools.product(range(game.k), repeat=game.n):
+        if all(
+            float((values := _declared_values(game, profile, i, delta, memo)[1]).max() - values[a]) <= eps
+            for i, a in enumerate(profile)
+        ):
+            break
+    else:
+        return None
+    per_player = []
+    worst = unperturbed = 0.0
+    for i, a in enumerate(profile):
+        base, values = _declared_values(game, profile, i, delta, memo)
+        best = int(np.argmax(values))
+        gain = float(values[best] - values[a])
+        per_player.append((best, gain))
+        worst = max(worst, gain)
+        unperturbed = max(unperturbed, float(base.max() - values[a]))
+    return SearchResult(profile, RegretReport(worst, tuple(per_player), unperturbed))

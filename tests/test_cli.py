@@ -95,6 +95,15 @@ def test_oracle_budget_exit_code(capsys):
     assert err.startswith("error: BudgetExceededError:")
 
 
+def test_class_law_budget_exit_code(capsys, monkeypatch):
+    # the 14-player party has 14 opponent classes, so its laws take 196 cells
+    monkeypatch.setattr(lipgames.games, "DEFAULT_CELL_BUDGET", 195)
+    code, out, err = run_cli(capsys, "equilibrium", "--party", "14", "--delta", "0.05", "--epsilon", "0.05")
+    assert code == 2
+    assert out == ""
+    assert err == "error: BudgetExceededError: opponent laws need 196 cells, over the budget of 195\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -149,19 +158,25 @@ def test_memory_error_is_one_line_exit_2(capsys, monkeypatch):
 
 
 def test_equilibrium_builds_each_opponent_law_once(tmp_path, capsys, monkeypatch):
+    # every opponent law comes from one batched class-law build, none from a
+    # per-class count_distribution fold
     builds = collections.Counter()
-    build = lipgames.games.count_distribution
+    batch = lipgames.games._class_laws
 
-    def counted(profile, k, delta):
-        builds[tuple(sorted(profile)), k, delta] += 1
-        return build(profile, k, delta)
+    def counted(*args):
+        builds[args] += 1
+        return batch(*args)
 
-    monkeypatch.setattr(lipgames.games, "count_distribution", counted)
+    def refused(*args):
+        raise AssertionError(f"count_distribution{args} called by the scan")
+
+    monkeypatch.setattr(lipgames.games, "_class_laws", counted)
+    monkeypatch.setattr(lipgames.games, "count_distribution", refused)
     path = tmp_path / "game.json"
     path.write_text(json.dumps(game_to_dict(random_game(5, 3, seed=8))))
     code, out, _ = run_cli(capsys, "equilibrium", "--game", str(path), "--delta", "0.2", "--json")
     assert code == 0 and json.loads(out)["found"]
-    assert builds and max(builds.values()) == 1
+    assert builds == {(4, 3, 0.2): 1}
 
 
 def test_import_leaves_thread_pools_out():

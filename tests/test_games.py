@@ -7,6 +7,7 @@ import pytest
 from lipgames import (
     AnonymousGame,
     BudgetExceededError,
+    count_vectors,
     find_eps_nash,
     game_to_dict,
     lipschitz_constant,
@@ -19,6 +20,7 @@ from lipgames import (
     regret,
     regret_in_unperturbed,
 )
+from lipgames import games
 
 import brute
 
@@ -321,3 +323,86 @@ def test_game_delta_outside_zero_to_one_is_refused(delta):
                  lambda: find_eps_nash(game, delta, 0.1)):
         with pytest.raises(ValueError, match=rf"^delta must lie in \[0, 1\), got {delta!r}$"):
             call()
+
+
+def _equal_payoffs_game(n, k, seed):
+    # one payoff table for every player, so permuted profiles tie exactly
+    base = random_game(n, k, seed=seed).payoffs[0]
+    return AnonymousGame(n, k, np.stack([base] * n))
+
+
+def _chase_game(n, k):
+    """Player 0 gains by matching player 1's action, player 1 by playing the
+    next action after player 0's, and everyone else by playing action 0.
+
+    The chase has no pure equilibrium, so small eps find none while the
+    perturbation stays small.
+    """
+    classes = count_vectors(n - 1, k)
+    payoffs = np.zeros((n, k, len(classes)))
+    payoffs[2:, 0, :] = 1.0
+    for r, counts in enumerate(classes):
+        # opponents on each action beyond the n - 2 who play action 0
+        spare = [c - (n - 2 if j == 0 else 0) for j, c in enumerate(counts)]
+        for a in range(k):
+            payoffs[0, a, r] = float(spare[a] > 0)
+            payoffs[1, a, r] = float(spare[a - 1] > 0)
+    return AnonymousGame(n, k, payoffs)
+
+
+@pytest.mark.parametrize(
+    "n,k", [(2, 2), (3, 2), (5, 2), (8, 2), (2, 3), (4, 3), (5, 3), (2, 4), (3, 4), (4, 4)]
+)
+@pytest.mark.parametrize("delta", (0.0, 0.1, 0.37, 0.9))
+def test_find_eps_nash_equals_the_per_profile_scan(n, k, delta):
+    candidates = [random_game(n, k, seed=10 * n + k), _equal_payoffs_game(n, k, seed=n + k), _chase_game(n, k)]
+    if k == 2:
+        candidates.append(party_game(n, ["even" if i % 2 == 0 else "odd" for i in range(n)]))
+    outcomes = set()
+    for game in candidates:
+        levels = sorted(set(_max_regrets(game, delta).values()))
+        # eps at 0, below the least regret, and exactly at regret levels,
+        # where the profiles of that level tie with the bound
+        for eps in (0.0, levels[0] / 2, *levels[:: max(1, len(levels) // 5)], levels[-1]):
+            found = find_eps_nash(game, delta, eps)
+            expected = brute.scan_eps_nash(game, delta, eps)
+            assert found == expected
+            assert repr(found) == repr(expected)
+            outcomes.add(found is None)
+    assert False in outcomes and (True in outcomes or delta > 0.1)
+
+
+@pytest.mark.parametrize("block", (1, 4, 9, 1 << 14))
+@pytest.mark.parametrize("n,k", [(2, 2), (5, 2), (3, 3), (4, 3), (3, 4)])
+def test_scan_blocks_cover_every_profile_once_in_order(monkeypatch, block, n, k):
+    monkeypatch.setattr(games, "_SCAN_BLOCK", block)
+    profiles = [
+        head + tuple(int(d) for d in np.unravel_index(index, (k,) * tail))
+        for head, tail, first in games._blocks(n, k)
+        for index in range(first, k**tail)
+    ]
+    assert profiles == list(itertools.product(range(k), repeat=n))
+
+
+@pytest.mark.parametrize("delta", (0.0, 0.37))
+def test_find_eps_nash_across_many_blocks_equals_the_per_profile_scan(monkeypatch, delta):
+    monkeypatch.setattr(games, "_SCAN_BLOCK", 4)
+    for game in (random_game(6, 2, seed=4), random_game(4, 3, seed=5), _chase_game(5, 3)):
+        levels = sorted(set(_max_regrets(game, delta).values()))
+        for eps in (levels[0] / 2, *levels[:: max(1, len(levels) // 4)]):
+            assert repr(find_eps_nash(game, delta, eps)) == repr(brute.scan_eps_nash(game, delta, eps))
+
+
+def test_class_law_cells_are_charged_against_the_cell_budget(monkeypatch):
+    # (7, 10) has 10**7 profiles, inside the profile budget, but its
+    # C(15, 9) = 5005 opponent classes need 5005**2 law cells
+    game = random_game(7, 10, seed=0)
+    with pytest.raises(BudgetExceededError, match="25050025 cells"):
+        find_eps_nash(game, 0.1, 0.0)
+    party = party_game(14, ["even", "odd"] * 7)  # 14 opponent classes: 196 cells
+    monkeypatch.setattr(games, "DEFAULT_CELL_BUDGET", 195)
+    with pytest.raises(BudgetExceededError, match="196 cells"):
+        find_eps_nash(party, 0.05, 0.05)
+    assert find_eps_nash(party, 0.0, 0.05) is None  # delta = 0 builds no laws
+    monkeypatch.setattr(games, "DEFAULT_CELL_BUDGET", 196)
+    assert find_eps_nash(party, 0.05, 0.05) is None

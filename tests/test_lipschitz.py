@@ -182,6 +182,21 @@ def test_fixed_point_decreasing_in_players():
     assert large < small
 
 
+@pytest.mark.parametrize(
+    "k, ns",
+    [(2, (2, 4, 10, 64, 256, 300, 2000, 4040)), (3, (2, 3, 9, 50, 257, 1001, 4000)),
+     (4, (5, 40, 609)), (5, (7, 300, 2500)), (8, (3, 1000))],
+)
+def test_lambda_strictly_decreases_in_delta_where_the_root_is_unique(k, ns):
+    # delta_fixed_point's docstring claims a unique root for k >= 3 and for
+    # k = 2 at even n; a strictly decreasing lambda makes lambda - delta so
+    deltas = [i / 400 for i in range(1, 400)] + [1e-6, 1e-3, 0.999, 0.999999]
+    for n in ns:
+        assert k >= 3 or n % 2 == 0
+        values = [lipschitz_constant(n, k, d).value for d in sorted(deltas)]
+        assert all(a > b for a, b in zip(values, values[1:])), (n, k)
+
+
 def test_fixed_point_rejects_bad_tol():
     with pytest.raises(ValueError):
         delta_fixed_point(10, 3, tol=0.0)

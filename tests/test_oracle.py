@@ -45,6 +45,33 @@ def test_rank_agrees_with_enumeration(m, k):
         assert count_vector_rank(vec) == idx
 
 
+def test_unrank_inverts_the_rank_for_every_composition():
+    for m in range(13):
+        for k in range(2, 6):
+            for rank, vec in enumerate(count_vectors(m, k)):
+                assert oracle._count_vector_unrank(rank, m, k) == vec
+
+
+def test_action_laws_equal_the_per_action_laws_bitwise():
+    for k in (2, 3, 4, 5, 7, 10):
+        for delta in (1e-9, 0.1, 0.3, 1 / 3, 0.37, 0.5, 0.85, 0.999):
+            laws = oracle._action_laws(k, delta)
+            assert laws.shape == (k, k)
+            for j in range(k):
+                assert laws[j].tobytes() == perturbed_action_law(j, k, delta).tobytes()
+
+
+@pytest.mark.parametrize("m,k", [(0, 2), (1, 3), (7, 2), (5, 3), (4, 4), (3, 5), (41, 2), (16, 3), (9, 4)])
+def test_class_laws_equal_count_distribution_bitwise(m, k):
+    for delta in (0.1, 0.37, 0.9):
+        laws = oracle._class_laws(m, k, delta)
+        assert laws.flags.c_contiguous
+        assert laws.shape == (math.comb(m + k - 1, k - 1),) * 2
+        for row, counts in zip(laws, count_vectors(m, k)):
+            profile = [j for j, c in enumerate(counts) for _ in range(c)]
+            assert row.tobytes() == count_distribution(profile, k, delta).probs.tobytes()
+
+
 def test_action_law_examples():
     assert np.allclose(perturbed_action_law(0, 2, 0.5), [0.75, 0.25])
     assert np.allclose(perturbed_action_law(2, 3, 0.3), [0.1, 0.1, 0.8])
@@ -169,10 +196,11 @@ def test_cell_budget_is_checked():
 
 
 def test_oracle_leaves_only_the_add_action_maps_behind():
-    # The count-class tuples are rebuilt per call; only the index maps stay
-    # cached, so what a call keeps alive is about their own bytes.
+    # The count-class tuples are rebuilt per call; only the delta-free depth
+    # plans stay cached (the index maps, and per class its largest action
+    # and parent row), so what a call keeps alive is about their own bytes.
     n = 102
-    oracle._add_action_maps.cache_clear()
+    oracle._depth.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:
@@ -182,8 +210,8 @@ def test_oracle_leaves_only_the_add_action_maps_behind():
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    maps = sum(oracle._add_action_maps(t, 2).nbytes for t in range(n - 2))
-    assert kept <= 2 * maps
+    plans = [oracle._depth(t, 2) for t in range(n - 1)]
+    assert kept <= 2 * sum(p.maps.nbytes + p.actions.nbytes + p.parents.nbytes for p in plans)
 
 
 def test_oracle_peak_memory_stays_under_forty_bytes_per_cell():
@@ -237,6 +265,22 @@ def test_oracle_matches_per_class_loop_bitwise(k, delta):
         result = lipschitz_oracle(n, k, delta)
         assert result.value == value
         assert result.worst_class == witness
+
+
+@pytest.mark.parametrize(
+    "n,k,delta,value,witness",
+    [
+        (43, 2, 0.3, "0x1.f7706cf71b09cp-4", (17, 24)),
+        (56, 2, 0.61, "0x1.77a024fc6f774p-5", (27, 27)),
+        (18, 3, 0.37, "0x1.eb1030eedf480p-3", (0, 0, 16)),
+        (11, 4, 0.85, "0x1.d37abf946e85ep-5", (0, 0, 0, 9)),
+        (12, 5, 0.1, "0x1.7f3809ed05211p-1", (0, 0, 0, 0, 10)),
+    ],
+)
+def test_oracle_values_keep_their_bits(n, k, delta, value, witness):
+    # A change of fold or scatter order moves the last bits of some of
+    # these while every route still agrees with every other.
+    assert lipschitz_oracle(n, k, delta) == (float.fromhex(value), witness)
 
 
 def test_oracle_tie_goes_to_first_class():
