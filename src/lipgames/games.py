@@ -12,7 +12,7 @@ profile exactly, via the count-vector dynamic program of
 opponents' laws with :func:`~lipgames.oracle.count_distribution`;
 :func:`find_eps_nash` builds the laws of every opponent count class in one
 batch and scans the profiles against a table of per-player verdicts keyed
-by (player, own action, the profile's count vector).
+by (player, the opponents' count class, own action).
 """
 
 from __future__ import annotations
@@ -27,12 +27,10 @@ import numpy as np
 
 from . import checks
 from .errors import BudgetExceededError
-from .oracle import DEFAULT_CELL_BUDGET, _class_laws, _depth, count_distribution, count_vector_rank
+from .oracle import DEFAULT_CELL_BUDGET, _class_laws, count_distribution, count_vector_rank
 
 #: Default ceiling on the number of profiles an exhaustive scan may visit.
 DEFAULT_PROFILE_BUDGET = 10**7
-#: Most profiles the scan checks in one vectorised block.
-_SCAN_BLOCK = 1 << 14
 _NUMBER = (int, float, np.integer, np.floating)
 
 
@@ -182,17 +180,18 @@ def find_eps_nash(
     Scans all ``k**n`` pure profiles and returns ``None`` only after the
     whole space has been checked, certifying that no pure eps-equilibrium of
     the delta-perturbed game exists.  Instances with more than
-    ``profile_budget`` profiles are refused.  For delta > 0 the laws of all
-    ``classes = C(n + k - 2, k - 1)`` opponent count classes are built in
-    one batch (:func:`lipgames.oracle._class_laws`); that build's
-    ``classes**2`` cells are charged against
-    :data:`lipgames.oracle.DEFAULT_CELL_BUDGET`, and larger games are
-    refused too.
+    ``profile_budget`` profiles are refused.
 
-    Whether player i may play a in a profile depends only on (i, a, the
-    profile's count vector), so the scan reads a table of those verdicts,
-    each filled on first use by one matrix-vector product per opponent
-    class and player.
+    Whether player i may play a depends only on (i, a, the opponents'
+    count class), so the scan reads a table of those verdicts, filled on
+    first use by one matrix-vector product per player and opponent class.
+    For delta > 0 the laws of all ``classes = C(n + k - 2, k - 1)``
+    opponent count classes are built first, in one batch
+    (:func:`lipgames.oracle._class_laws`).  The table's
+    ``n * k * classes`` cells, plus the laws' ``classes**2`` for
+    delta > 0, are charged against
+    :data:`lipgames.oracle.DEFAULT_CELL_BUDGET` before anything is built,
+    and larger games are refused too.
     """
     checks.delta(delta, zero_ok=True)
     checks.bound(eps, "eps", zero_ok=True)
@@ -203,81 +202,29 @@ def find_eps_nash(
         raise BudgetExceededError(
             f"{total} profiles exceed the scan budget of {profile_budget}"
         )
-    class_laws = None
-    if delta > 0.0:
-        cells = math.comb(n + k - 2, k - 1) ** 2
-        if cells > DEFAULT_CELL_BUDGET:
-            raise BudgetExceededError(
-                f"opponent laws need {cells} cells, over the budget of {DEFAULT_CELL_BUDGET}"
-            )
-        class_laws = _class_laws(n - 1, k, delta)
-    profile = _first_admissible(game, delta, eps, class_laws)
-    if profile is None:
-        return None
-    return SearchResult(profile, _regret(game, profile, delta, class_laws))
-
-
-def _blocks(n: int, k: int):
-    """Blocks ``(head, tail, first)`` that cover all ``k**n`` profiles in lexicographic order.
-
-    A block holds the profiles that start with the actions ``head`` and end
-    with the ``tail``-action suffixes of index ``first`` to ``k**tail - 1``.
-    Blocks grow from k profiles to at most :data:`_SCAN_BLOCK`, so a scan
-    that stops early checks few profiles.
-    """
-    tail = 1
-    yield (0,) * (n - 1), 1, 0
-    while tail < n and k ** (tail + 1) <= _SCAN_BLOCK:
-        tail += 1
-        yield (0,) * (n - tail), tail, k ** (tail - 1)
-    heads = itertools.product(range(k), repeat=n - tail)
-    next(heads)  # all zeros: covered above
-    yield from ((head, tail, 0) for head in heads)
-
-
-def _first_admissible(game: AnonymousGame, delta: float, eps: float, class_laws) -> Optional[tuple[int, ...]]:
-    """Lexicographically first profile every player of which has regret at most eps.
-
-    Within a block of :func:`_blocks` the players are checked one at a
-    time, each against the profiles that every earlier player admits.
-    """
-    n, k = game.n, game.k
-    depths = [_depth(t, k) for t in range(n)]
-    top = depths[-1].maps  # top[a, r]: the profile's class when opponents of class r meet action a
-    own = np.arange(k)
-    # verdict[i, a, c]: 1 if player i may play a in a profile of count class c,
-    # 0 if not, -1 until first needed
-    verdict = np.full((n, k, math.comb(n + k - 1, k - 1)), -1, dtype=np.int8)
-    opponents = np.zeros(verdict.shape[1:], dtype=np.int64)  # class r of top[a, r], by (a, top[a, r])
-    for a in range(k):
-        opponents[a, top[a]] = np.arange(top.shape[1])
-
-    def fill(i: int, a: np.ndarray, c: np.ndarray) -> None:
-        for r in set(opponents[a, c].tolist()):
-            law = r if class_laws is None else class_laws[r]
-            values = _values(game, i, law, delta)[1]
-            verdict[i, own, top[:, r]] = values.max() - values <= eps
-
-    for head, tail, first in _blocks(n, k):
-        index = np.arange(first, k**tail)
-        actions = [np.full(len(index), a) for a in head]
-        actions += [index // k ** (tail - 1 - i) % k for i in range(tail)]
-        classes = np.zeros(len(index), dtype=np.int64)
-        for depth, a in zip(depths, actions):
-            classes = depth.maps[a, classes]
-        alive = np.arange(len(index))
-        for i, a in enumerate(actions):
-            a, c = a[alive], classes[alive]
-            ok = verdict[i, a, c]
-            missing = ok < 0
-            if missing.any():
-                fill(i, a[missing], c[missing])
-                ok = verdict[i, a, c]
-            alive = alive[ok > 0]
-            if not alive.size:
+    classes = math.comb(n + k - 2, k - 1)
+    cells = classes * (n * k + (classes if delta > 0.0 else 0))
+    if cells > DEFAULT_CELL_BUDGET:
+        raise BudgetExceededError(
+            f"equilibrium scan needs {cells} cells, over the budget of {DEFAULT_CELL_BUDGET}"
+        )
+    class_laws = _class_laws(n - 1, k, delta) if delta > 0.0 else None
+    # A count vector c is coded as sum(c[j] * (n + 1)**j): a profile's code
+    # sums its players' powers, and a player's opponents' code is it less theirs.
+    powers = [(n + 1) ** a for a in range(k)]
+    verdicts: list[dict] = [{} for _ in range(n)]  # verdicts[i][code][a]: may i play a against code
+    for profile in itertools.product(range(k), repeat=n):
+        code = sum(map(powers.__getitem__, profile))
+        for i, a in enumerate(profile):
+            row = verdicts[i].get(others := code - powers[a])
+            if row is None:
+                r = count_vector_rank([others // p % (n + 1) for p in powers])
+                values = _values(game, i, r if class_laws is None else class_laws[r], delta)[1]
+                row = verdicts[i][others] = (values.max() - values <= eps).tobytes()
+            if not row[a]:
                 break
         else:
-            return tuple(int(a[alive[0]]) for a in actions)
+            return SearchResult(profile, _regret(game, profile, delta, class_laws))
     return None
 
 

@@ -95,13 +95,13 @@ def test_oracle_budget_exit_code(capsys):
     assert err.startswith("error: BudgetExceededError:")
 
 
-def test_class_law_budget_exit_code(capsys, monkeypatch):
-    # the 14-player party has 14 opponent classes, so its laws take 196 cells
-    monkeypatch.setattr(lipgames.games, "DEFAULT_CELL_BUDGET", 195)
+def test_scan_cell_budget_exit_code(capsys, monkeypatch):
+    # the 14-player party has 14 opponent classes: 14 * 28 verdict cells and 14**2 law cells
+    monkeypatch.setattr(lipgames.games, "DEFAULT_CELL_BUDGET", 587)
     code, out, err = run_cli(capsys, "equilibrium", "--party", "14", "--delta", "0.05", "--epsilon", "0.05")
     assert code == 2
     assert out == ""
-    assert err == "error: BudgetExceededError: opponent laws need 196 cells, over the budget of 195\n"
+    assert err == "error: BudgetExceededError: equilibrium scan needs 588 cells, over the budget of 587\n"
 
 
 @pytest.mark.parametrize(

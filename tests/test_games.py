@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -372,37 +373,37 @@ def test_find_eps_nash_equals_the_per_profile_scan(n, k, delta):
     assert False in outcomes and (True in outcomes or delta > 0.1)
 
 
-@pytest.mark.parametrize("block", (1, 4, 9, 1 << 14))
-@pytest.mark.parametrize("n,k", [(2, 2), (5, 2), (3, 3), (4, 3), (3, 4)])
-def test_scan_blocks_cover_every_profile_once_in_order(monkeypatch, block, n, k):
-    monkeypatch.setattr(games, "_SCAN_BLOCK", block)
-    profiles = [
-        head + tuple(int(d) for d in np.unravel_index(index, (k,) * tail))
-        for head, tail, first in games._blocks(n, k)
-        for index in range(first, k**tail)
-    ]
-    assert profiles == list(itertools.product(range(k), repeat=n))
-
-
-@pytest.mark.parametrize("delta", (0.0, 0.37))
-def test_find_eps_nash_across_many_blocks_equals_the_per_profile_scan(monkeypatch, delta):
-    monkeypatch.setattr(games, "_SCAN_BLOCK", 4)
-    for game in (random_game(6, 2, seed=4), random_game(4, 3, seed=5), _chase_game(5, 3)):
-        levels = sorted(set(_max_regrets(game, delta).values()))
-        for eps in (levels[0] / 2, *levels[:: max(1, len(levels) // 4)]):
-            assert repr(find_eps_nash(game, delta, eps)) == repr(brute.scan_eps_nash(game, delta, eps))
-
-
-def test_class_law_cells_are_charged_against_the_cell_budget(monkeypatch):
+def test_scan_cells_are_charged_against_the_cell_budget(monkeypatch):
     # (7, 10) has 10**7 profiles, inside the profile budget, but its
-    # C(15, 9) = 5005 opponent classes need 5005**2 law cells
+    # C(15, 9) = 5005 opponent classes need 5005 * (7 * 10) verdict cells
+    # and 5005**2 law cells
     game = random_game(7, 10, seed=0)
-    with pytest.raises(BudgetExceededError, match="25050025 cells"):
+    with pytest.raises(BudgetExceededError, match="^equilibrium scan needs 25400375 cells, over the budget of 10000000$"):
         find_eps_nash(game, 0.1, 0.0)
-    party = party_game(14, ["even", "odd"] * 7)  # 14 opponent classes: 196 cells
-    monkeypatch.setattr(games, "DEFAULT_CELL_BUDGET", 195)
-    with pytest.raises(BudgetExceededError, match="196 cells"):
+    # 14 opponent classes: 14 * 28 verdict cells, plus 14**2 law cells for delta > 0
+    party = party_game(14, ["even", "odd"] * 7)
+    monkeypatch.setattr(games, "DEFAULT_CELL_BUDGET", 587)
+    with pytest.raises(BudgetExceededError, match="588 cells"):
         find_eps_nash(party, 0.05, 0.05)
-    assert find_eps_nash(party, 0.0, 0.05) is None  # delta = 0 builds no laws
-    monkeypatch.setattr(games, "DEFAULT_CELL_BUDGET", 196)
+    assert find_eps_nash(party, 0.0, 0.05) is None
+    monkeypatch.setattr(games, "DEFAULT_CELL_BUDGET", 391)
+    with pytest.raises(BudgetExceededError, match="392 cells"):
+        find_eps_nash(party, 0.0, 0.05)
+    monkeypatch.setattr(games, "DEFAULT_CELL_BUDGET", 588)
     assert find_eps_nash(party, 0.05, 0.05) is None
+
+
+@pytest.mark.parametrize("delta", (0.0, 0.3))
+def test_scan_over_the_cell_budget_is_refused_before_allocating(delta):
+    # 2 players, 2300 actions: 5.29e6 profiles, inside the profile budget,
+    # and 2300 opponent classes, so 2 * 2300 * 2300 verdict cells
+    payoffs = np.broadcast_to(np.float64(0.5), (2, 2300, 2300))
+    game = AnonymousGame(2, 2300, payoffs)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="cells, over the budget"):
+            find_eps_nash(game, delta, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
