@@ -19,6 +19,7 @@ of generality by symmetry.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -28,31 +29,34 @@ import numpy as np
 from . import checks
 from .errors import BudgetExceededError
 
-#: Default ceiling on ``count classes x occupancy states`` handled by the oracle.
+#: Default ceiling on the cells (``max(classes, k) x occupancy states``) the oracle handles.
 DEFAULT_CELL_BUDGET = 10**7
+
+
+def _compositions(m: int, k: int) -> np.ndarray:
+    """All k-part compositions of m, a row each in ascending lexicographic order, unchecked.
+
+    Stars and bars: the bar positions ``combinations(range(1, m + k), k - 1)``,
+    in their own order, give the rows in order; the counts are the gaps.
+    """
+    dtype = np.min_scalar_type(m + k)
+    row = np.dtype((dtype, (k - 1,)))
+    bars = np.fromiter(itertools.combinations(range(1, m + k), k - 1), row, math.comb(m + k - 1, k - 1))
+    return np.diff(bars, axis=1, prepend=dtype.type(0), append=dtype.type(m + k)) - 1
 
 
 def count_vectors(m: int, k: int) -> tuple[tuple[int, ...], ...]:
     """All k-part nonnegative compositions of m, in ascending lexicographic order."""
     m = checks.count(m, "total")
     k = checks.count(k, "action count", 2)
-
-    def rec(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in rec(total - first, parts - 1):
-                yield (first,) + rest
-
-    return tuple(rec(m, k))
+    return tuple(map(tuple, _compositions(m, k).tolist()))
 
 
 def count_vector_rank(counts: Sequence[int]) -> int:
     """Lexicographic rank of a composition among all of the same sum and length."""
-    counts = tuple(int(c) for c in counts)
-    if len(counts) < 2 or any(c < 0 for c in counts):
-        raise ValueError(f"count vector must have >= 2 nonnegative parts, got {counts!r}")
+    counts = tuple(checks.count(c, "count") for c in counts)
+    if len(counts) < 2:
+        raise ValueError(f"count vector must have >= 2 parts, got {counts!r}")
     rank = 0
     remaining = sum(counts)
     parts = len(counts)
@@ -64,20 +68,6 @@ def count_vector_rank(counts: Sequence[int]) -> int:
         remaining -= c
         parts -= 1
     return rank
-
-
-def _count_vector_unrank(rank: int, m: int, k: int) -> tuple[int, ...]:
-    """The k-part composition of m with lexicographic rank ``rank``: :func:`count_vector_rank` inverted."""
-    counts = []
-    for parts in range(k, 1, -1):
-        first = 0
-        # ``block`` compositions of m into ``parts`` parts start with ``first``
-        while rank >= (block := math.comb(m - first + parts - 2, parts - 2)):
-            rank -= block
-            first += 1
-        counts.append(first)
-        m -= first
-    return (*counts, m)
 
 
 class _Depth(NamedTuple):
@@ -95,12 +85,9 @@ class _Depth(NamedTuple):
 
 @functools.lru_cache(maxsize=None)
 def _depth(t: int, k: int) -> _Depth:
-    vecs = count_vectors(t, k)
-    maps = np.empty((k, len(vecs)), dtype=np.int64)
-    for idx, c in enumerate(vecs):
-        for j in range(k):
-            maps[j, idx] = count_vector_rank(c[:j] + (c[j] + 1,) + c[j + 1 :])
-    # maps[j] is increasing, since adding one action keeps lexicographic order
+    # Adding one action j maps the compositions of t, in order, onto those of
+    # t + 1 with a nonzero count j; the copy frees the rest of nonzero's output.
+    maps = np.nonzero(_compositions(t + 1, k).T)[1].reshape(k, -1).copy()
     targets = tuple(
         slice(int(row[0]), int(row[-1]) + 1) if row[-1] - row[0] == len(row) - 1 else row for row in maps
     )
@@ -108,7 +95,7 @@ def _depth(t: int, k: int) -> _Depth:
     parents = np.empty_like(actions)
     for j, row in enumerate(maps):  # a later (larger) action overwrites
         actions[row] = j
-        parents[row] = np.arange(len(vecs))
+        parents[row] = np.arange(len(row))
     for shared in (maps, actions, parents):  # the cache hands them to every caller
         shared.flags.writeable = False
     return _Depth(maps, targets, actions, parents)
@@ -151,7 +138,7 @@ class CountDistribution:
             )
 
     def prob(self, counts: Sequence[int]) -> float:
-        counts = tuple(int(c) for c in counts)
+        counts = tuple(checks.count(c, "count") for c in counts)
         if len(counts) != self.k or sum(counts) != self.m:
             raise ValueError(f"count vector must have {self.k} parts summing to {self.m}")
         return float(self.probs[count_vector_rank(counts)])
@@ -250,22 +237,24 @@ def lipschitz_oracle(
     tested separately), keeping the search exact at desk scale.  The witness
     is the lexicographically smallest class within 1e-12 of the maximum, so
     exact ties are not decided by rounding noise.  Instances whose
-    ``classes x states`` product exceeds ``cell_budget`` are refused.
+    ``max(classes, k) x states`` cells exceed ``cell_budget`` are refused:
+    the last depth's index holds ``k x states`` counts, more than the
+    total-variation step's ``classes x states`` only at n = 2.
 
     The class laws come from :func:`_class_laws`, bit-identical to folding
-    each class alone, and only the witness's row is unranked into its
-    count vector.  A depth is held whole, so the cell budget bounds memory
-    too: under 40 bytes per cell, about 400 MB at the default budget.
+    each class alone, and the witness's count vector is its row of
+    :func:`_compositions`.  A depth is held whole, so the cell budget bounds
+    memory too: under 40 bytes per cell, about 400 MB at the default budget.
     """
     checks.instance(n, k, delta)
     cell_budget = checks.count(cell_budget, "cell budget")
     m = n - 2
-    cells = math.comb(m + k - 1, k - 1) * math.comb(m + k, k - 1)
+    cells = max(math.comb(m + k - 1, k - 1), k) * math.comb(m + k, k - 1)
     if cells > cell_budget:
         raise BudgetExceededError(
             f"oracle instance needs {cells} cells, over the budget of {cell_budget}"
         )
     values = _shift_tv(_class_laws(m, k, delta), m, k, 0, 1)
     best = float(values.max())
-    witness = _count_vector_unrank(int(np.argmax(values >= best - 1e-12)), m, k)
-    return OracleResult((1.0 - delta) * best, witness)
+    witness = _compositions(m, k)[int(np.argmax(values >= best - 1e-12))]
+    return OracleResult((1.0 - delta) * best, tuple(witness.tolist()))

@@ -6,9 +6,10 @@ dynamic programs, so agreement is meaningful.  The exceptions are the
 slow routes the library replaced, kept as cross-checks at sizes enumeration
 cannot reach: :func:`split_scan`, the O(n^3) convolution scan behind the
 split maximum, :func:`bisect_fixed_point`, the plain bisection behind
-``delta_fixed_point``, and :func:`passage_prob_by_parity`, the full-length
-parity product behind ``passage_prob``, and :func:`scan_eps_nash`, the
-per-profile equilibrium scan behind ``find_eps_nash``.
+``delta_fixed_point``, :func:`passage_prob_by_parity`, the full-length
+parity product behind ``passage_prob``, :func:`scan_eps_nash`, the
+per-profile equilibrium scan behind ``find_eps_nash``, and
+:func:`depth_maps_by_rank`, the per-cell rank loop behind the oracle's index.
 """
 
 from __future__ import annotations
@@ -19,7 +20,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from lipgames import RegretReport, SearchResult, count_distribution, count_vector_rank, lipschitz_constant
+from lipgames import (
+    RegretReport,
+    SearchResult,
+    count_distribution,
+    count_vector_rank,
+    count_vectors,
+    lipschitz_constant,
+)
 from lipgames.integer_pmf import binomial_probs
 from lipgames.poisson_binomial import TIE_TOL
 
@@ -271,3 +279,23 @@ def scan_eps_nash(game, delta, eps):
         worst = max(worst, gain)
         unperturbed = max(unperturbed, float(base.max() - values[a]))
     return SearchResult(profile, RegretReport(worst, tuple(per_player), unperturbed))
+
+
+def depth_maps_by_rank(t, k):
+    """The oracle's index of one fold step, one :func:`count_vector_rank` call per cell.
+
+    ``maps[j, r]`` is the rank of the r-th composition of t plus one action
+    j; per composition of t + 1, ``actions`` holds its largest action and
+    ``parents`` the rank of it less one of that action.
+    """
+    vecs = count_vectors(t, k)
+    maps = np.empty((k, len(vecs)), dtype=np.int64)
+    for idx, c in enumerate(vecs):
+        for j in range(k):
+            maps[j, idx] = count_vector_rank(c[:j] + (c[j] + 1,) + c[j + 1 :])
+    actions, parents = [], []
+    for c in count_vectors(t + 1, k):
+        j = max(a for a in range(k) if c[a])
+        actions.append(j)
+        parents.append(count_vector_rank(c[:j] + (c[j] - 1,) + c[j + 1 :]))
+    return maps, np.array(actions, dtype=np.int64), np.array(parents, dtype=np.int64)

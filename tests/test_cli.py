@@ -95,6 +95,16 @@ def test_oracle_budget_exit_code(capsys):
     assert err.startswith("error: BudgetExceededError:")
 
 
+def test_oracle_at_two_players_and_many_actions(capsys):
+    # one class and 1200 states; the index is 1200 * 1200 counts, inside the budget
+    code, out, err = run_cli(capsys, "lambda", "--n", "2", "--k", "1200", "--delta", "0.3", "--method", "oracle")
+    assert (code, err) == (0, "")
+    assert parse_kv(out)["lambda"] == "0.7"
+    code, out, err = run_cli(capsys, "lambda", "--n", "2", "--k", "3163", "--delta", "0.3", "--method", "oracle")
+    assert (code, out) == (2, "")
+    assert err == "error: BudgetExceededError: oracle instance needs 10004569 cells, over the budget of 10000000\n"
+
+
 def test_scan_cell_budget_exit_code(capsys, monkeypatch):
     # the 14-player party has 14 opponent classes: 14 * 28 verdict cells and 14**2 law cells
     monkeypatch.setattr(lipgames.games, "DEFAULT_CELL_BUDGET", 587)

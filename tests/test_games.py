@@ -407,3 +407,8 @@ def test_scan_over_the_cell_budget_is_refused_before_allocating(delta):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16
+
+
+def test_scan_builds_the_class_laws_of_a_thousand_actions():
+    # at eps = 1 the first profile qualifies, after the laws of all 1000 opponent classes are built
+    assert find_eps_nash(random_game(2, 1000, 1), 0.3, 1.0).profile == (0, 0)

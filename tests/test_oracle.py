@@ -45,11 +45,20 @@ def test_rank_agrees_with_enumeration(m, k):
         assert count_vector_rank(vec) == idx
 
 
-def test_unrank_inverts_the_rank_for_every_composition():
-    for m in range(13):
-        for k in range(2, 6):
-            for rank, vec in enumerate(count_vectors(m, k)):
-                assert oracle._count_vector_unrank(rank, m, k) == vec
+def test_count_vectors_need_no_recursion_at_a_thousand_actions():
+    assert count_vectors(0, 1200) == ((0,) * 1200,)
+    assert count_vectors(1, 1200)[-1] == (1,) + (0,) * 1199
+
+
+@pytest.mark.parametrize("t,k", [*itertools.product(range(9), range(2, 7)), (1, 40), (2, 12)])
+def test_depth_index_equals_the_per_cell_rank_loop(t, k):
+    depth = oracle._depth(t, k)
+    maps, actions, parents = brute.depth_maps_by_rank(t, k)
+    assert np.array_equal(depth.maps, maps)
+    assert np.array_equal(depth.actions, actions)
+    assert np.array_equal(depth.parents, parents)
+    for target, row in zip(depth.targets, maps):
+        assert np.array_equal(np.arange(math.comb(t + k, k - 1))[target], row)
 
 
 def test_action_laws_equal_the_per_action_laws_bitwise():
@@ -195,8 +204,28 @@ def test_cell_budget_is_checked():
         lipschitz_oracle(2, 2, 0.3, cell_budget=0)
 
 
+def test_two_player_budget_charges_the_index_of_k_squared_cells():
+    # one class of no players, k states, and the last depth's index of k * k counts
+    assert lipschitz_oracle(2, 40, 0.3, cell_budget=1600) == (0.7, (0,) * 40)
+    with pytest.raises(BudgetExceededError, match="needs 1600 cells"):
+        lipschitz_oracle(2, 40, 0.3, cell_budget=1599)
+    assert lipschitz_oracle(2, 1200, 0.3) == (0.7, (0,) * 1200)
+
+
+def test_two_players_past_the_budget_are_refused_before_allocating():
+    # 3163**2 cells is one square past the default budget; the index alone would be 20 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="needs 10004569 cells"):
+            lipschitz_oracle(2, 3163, 0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+
+
 def test_oracle_leaves_only_the_add_action_maps_behind():
-    # The count-class tuples are rebuilt per call; only the delta-free depth
+    # The witness's composition array is rebuilt per call; only the delta-free depth
     # plans stay cached (the index maps, and per class its largest action
     # and parent row), so what a call keeps alive is about their own bytes.
     n = 102
@@ -217,17 +246,21 @@ def test_oracle_leaves_only_the_add_action_maps_behind():
 def test_oracle_peak_memory_stays_under_forty_bytes_per_cell():
     # The oracle holds one depth of prefix laws whole, so the cell budget
     # bounds its memory too; the bound is the one its docstring states.
-    n, k = 200, 2
-    cells = math.comb(n - 2 + k - 1, k - 1) * math.comb(n - 2 + k, k - 1)
-    lipschitz_oracle(n, k, 0.3)  # the cached index maps are not part of a call
-    gc.collect()
-    tracemalloc.start()
-    try:
-        lipschitz_oracle(n, k, 0.3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 40 * cells
+    # Warm, the cached index is not part of a call; cold, its build is.
+    for n, k, cold in ((200, 2, False), (3, 200, True)):
+        cells = math.comb(n - 2 + k - 1, k - 1) * math.comb(n - 2 + k, k - 1)
+        if cold:
+            oracle._depth.cache_clear()
+        else:
+            lipschitz_oracle(n, k, 0.3)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            lipschitz_oracle(n, k, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * cells, (n, k)
 
 
 def test_oracle_rejects_bad_arguments():
@@ -237,6 +270,11 @@ def test_oracle_rejects_bad_arguments():
         lipschitz_oracle(4, 3, 1.0)
     with pytest.raises(ValueError):
         count_distribution([0, 3], 3, 0.5)
+    # bools and floats are not counts, so neither reads as the class (1, 1)
+    with pytest.raises(ValueError, match="count must be an integer"):
+        count_vector_rank((True, 2.7))
+    with pytest.raises(ValueError, match="count must be an integer"):
+        count_distribution([0, 1], 2, 0.5).prob((1.9, True))
 
 
 def _oracle_by_class(n, k, delta):
