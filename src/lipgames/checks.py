@@ -1,12 +1,16 @@
 """Argument checks shared by the package: one input policy, written once.
 
 Counts and indices are integers, never ``bool``; every float check is a
-comparison that NaN fails; every refusal is a ``ValueError``.
+comparison that NaN fails; every refusal is a ``ValueError``.  Size limits
+are module constants, each refused by :func:`budget` before anything is
+allocated.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import BudgetExceededError
 
 #: Sum-to-one guard of every probability vector.  Largest drift measured on
 #: valid input: ``walk_pmf`` at 2**15 steps 1.84e-12 (32 rates in [0.01, 0.98],
@@ -27,6 +31,12 @@ def index(value, size: int, name: str = "action") -> int:
     if count(value, name) >= size:
         raise ValueError(f"{name} must lie in 0..{size - 1}, got {value!r}")
     return int(value)
+
+
+def budget(need: int, limit: int, what: str, unit: str) -> None:
+    """Refuse a request that needs more than ``limit`` units: the package's one size refusal."""
+    if need > limit:
+        raise BudgetExceededError(f"{what} needs {need} {unit}, over the budget of {limit}")
 
 
 def delta(value, zero_ok: bool = False) -> None:

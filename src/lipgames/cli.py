@@ -37,6 +37,12 @@ VERIFY_DELTAS = (0.1, 0.25, 0.5, 0.75, 0.9)
 VERIFY_FAMILIES = ((3, 8), (4, 8), (2, 12))
 VERIFY_TOL = 1e-9
 SWEEP_COLUMNS = ("n", "k", "delta", "lambda", "lower", "upper", "asymptotic", "ratio")
+#: Largest walk-step charge of one sweep, a row of n players costing
+#: ``max(n, _MIN_ROW_STEPS)``.  Measured at 25-100 ns a charged step (2-core
+#: host), so 12-50 s at the limit.  Below the floor, a row's fixed cost
+#: outweighs its steps.
+MAX_SWEEP_STEPS = 5 * 10**8
+_MIN_ROW_STEPS = 1 << 12
 
 
 def _fmt(x: float) -> str:
@@ -130,7 +136,13 @@ def _sweep_rows(ns):
         raise ValueError("sweep needs at least one --delta")
     for d in ns.delta:
         checks.delta(d)
-    for n in range(ns.n_start, ns.n_stop + 1, ns.n_step):
+    checks.instance(ns.n_start, ns.k, ns.delta[0])
+    rows = range(ns.n_start, ns.n_stop + 1, ns.n_step)
+    small = range(ns.n_start, min(ns.n_stop + 1, _MIN_ROW_STEPS), ns.n_step)
+    # The rows' n summed in closed form, plus the shortfall of the rows below the floor.
+    steps = len(rows) * (rows[0] + rows[-1]) // 2 + sum(_MIN_ROW_STEPS - n for n in small)
+    checks.budget(steps * len(ns.delta), MAX_SWEEP_STEPS, "sweep", "walk steps")
+    for n in rows:
         for d in ns.delta:
             res = lz.lipschitz_constant(n, ns.k, d)
             yield (n, ns.k, d, res.value, res.lower, res.upper, res.asymptotic,
@@ -203,7 +215,7 @@ def cmd_equilibrium(ns) -> tuple[int, str]:
         eps = 2.0 * game.k * lz.lipschitz_constant(game.n, game.k, ns.delta).value
     else:
         eps = float(ns.epsilon)
-    found = gm.find_eps_nash(game, ns.delta, eps, ns.profile_budget)
+    found = gm.find_eps_nash(game, ns.delta, eps)
     payload: dict = {"n": game.n, "k": game.k, "delta": ns.delta, "epsilon": eps,
                      "found": found is not None}
     if found is not None:
@@ -298,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="perturbation; 0 evaluates the unperturbed game")
     p.add_argument("--epsilon", default="auto",
                    help='regret bound, or "auto" for 2*k*lambda(n,k,delta)')
-    p.add_argument("--profile-budget", type=int, default=gm.DEFAULT_PROFILE_BUDGET)
     _add_json_flag(p)
 
     p = sub.add_parser("delta-star", help="solve lambda(n,k,delta) = delta, starting from the closed form's root")

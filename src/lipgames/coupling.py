@@ -46,7 +46,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checks
-from .errors import BudgetExceededError
 
 BLOCK_SIZE = 1 << 16
 #: Largest ``samples * max(n, 1)`` a request may ask for (tens of seconds).
@@ -94,16 +93,11 @@ class MeetTimeResult:
 def _check_params(n, k, delta, samples, seed):
     n = checks.count(n, "step count")
     k = checks.count(k, "action count", 2)
-    if k > MAX_ACTIONS:
-        raise BudgetExceededError(f"action count must be an integer <= 2**31, got {k!r}")
+    checks.budget(k, MAX_ACTIONS, "the int32 action draw", "actions")
     checks.delta(delta)
     samples = checks.count(samples, "samples", 1)
     seed = checks.count(seed, "seed")
-    if max(samples, _MIN_CHARGED) * max(n, 1) > MAX_REP_STEPS:
-        raise BudgetExceededError(
-            f"{samples} samples (charged as at least {_MIN_CHARGED}) of {n} steps exceed "
-            f"the budget of {MAX_REP_STEPS} replication steps"
-        )
+    checks.budget(max(samples, _MIN_CHARGED) * max(n, 1), MAX_REP_STEPS, "coupling", "replication steps")
     return n, k, float(delta), samples, seed
 
 
@@ -352,10 +346,7 @@ def mirrored_action_counts(
         baseline = 2 if k >= 3 else 0
     baseline = checks.index(baseline, k, "baseline action")
     blocks = -(-samples // BLOCK_SIZE)
-    if n * k * blocks > MAX_TABLE_CELLS:
-        raise BudgetExceededError(
-            f"{blocks} tables of {n} steps by {k} actions exceed the budget of {MAX_TABLE_CELLS} cells"
-        )
+    checks.budget(n * k * blocks, MAX_TABLE_CELLS, "action tally", "table cells")
 
     def run(block, size, lo, hi):
         table = np.zeros((n, k), dtype=np.int64)

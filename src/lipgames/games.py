@@ -25,12 +25,11 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import checks
-from .errors import BudgetExceededError
-from .oracle import DEFAULT_CELL_BUDGET, _class_laws, count_distribution, count_vector_rank
+from . import checks, oracle
+from .oracle import _class_laws, count_distribution, count_vector_rank
 
-#: Default ceiling on the number of profiles an exhaustive scan may visit.
-DEFAULT_PROFILE_BUDGET = 10**7
+#: Ceiling on the number of profiles an exhaustive scan may visit.
+PROFILE_BUDGET = 10**7
 _NUMBER = (int, float, np.integer, np.floating)
 
 
@@ -169,18 +168,13 @@ def regret_in_unperturbed(game: AnonymousGame, profile: Sequence[int], delta: fl
     return _regret(game, profile, delta).unperturbed_regret
 
 
-def find_eps_nash(
-    game: AnonymousGame,
-    delta: float,
-    eps: float,
-    profile_budget: int = DEFAULT_PROFILE_BUDGET,
-) -> Optional[SearchResult]:
+def find_eps_nash(game: AnonymousGame, delta: float, eps: float) -> Optional[SearchResult]:
     """First profile (lexicographically) whose perturbed regret is at most eps.
 
     Scans all ``k**n`` pure profiles and returns ``None`` only after the
     whole space has been checked, certifying that no pure eps-equilibrium of
     the delta-perturbed game exists.  Instances with more than
-    ``profile_budget`` profiles are refused.
+    :data:`PROFILE_BUDGET` profiles are refused.
 
     Whether player i may play a depends only on (i, a, the opponents'
     count class), so the scan reads a table of those verdicts, filled on
@@ -190,24 +184,16 @@ def find_eps_nash(
     (:func:`lipgames.oracle._class_laws`).  The table's
     ``n * k * classes`` cells, plus the laws' ``classes**2`` for
     delta > 0, are charged against
-    :data:`lipgames.oracle.DEFAULT_CELL_BUDGET` before anything is built,
+    :data:`lipgames.oracle.CELL_BUDGET` before anything is built,
     and larger games are refused too.
     """
     checks.delta(delta, zero_ok=True)
     checks.bound(eps, "eps", zero_ok=True)
-    profile_budget = checks.count(profile_budget, "profile budget")
     n, k = game.n, game.k
-    total = k**n
-    if total > profile_budget:
-        raise BudgetExceededError(
-            f"{total} profiles exceed the scan budget of {profile_budget}"
-        )
+    checks.budget(k**n, PROFILE_BUDGET, "equilibrium scan", "profiles")
     classes = math.comb(n + k - 2, k - 1)
     cells = classes * (n * k + (classes if delta > 0.0 else 0))
-    if cells > DEFAULT_CELL_BUDGET:
-        raise BudgetExceededError(
-            f"equilibrium scan needs {cells} cells, over the budget of {DEFAULT_CELL_BUDGET}"
-        )
+    checks.budget(cells, oracle.CELL_BUDGET, "equilibrium scan", "cells")
     class_laws = _class_laws(n - 1, k, delta) if delta > 0.0 else None
     # A count vector c is coded as sum(c[j] * (n + 1)**j): a profile's code
     # sums its players' powers, and a player's opponents' code is it less theirs.

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checks
-from .errors import BudgetExceededError
 
 #: Largest trial count :func:`binomial_probs` accepts.  The O(n) closed forms
 #: built on it hold a few float arrays of that length (80 MB each at the
@@ -60,8 +59,7 @@ def binomial_probs(m: int, p: float) -> np.ndarray:
     factorial or ``lgamma`` is formed and the peak carries no cancellation.
     Far tails underflow to 0.  ``p`` may be 0 or 1.
     """
-    if m > MAX_TRIALS:
-        raise BudgetExceededError(f"{m} trials exceed the budget of {MAX_TRIALS}")
+    checks.budget(m, MAX_TRIALS, "binomial pmf", "trials")
     if p == 0.0 or p == 1.0:
         probs = np.zeros(m + 1)
         probs[m if p == 1.0 else 0] = 1.0

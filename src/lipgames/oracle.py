@@ -27,10 +27,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import checks
-from .errors import BudgetExceededError
 
-#: Default ceiling on the cells (``max(classes, k) x occupancy states``) the oracle handles.
-DEFAULT_CELL_BUDGET = 10**7
+#: Ceiling on the cells (``max(classes, k) x occupancy states``) the oracle
+#: handles; :mod:`lipgames.games` charges its equilibrium scan against it too.
+CELL_BUDGET = 10**7
 
 
 def _compositions(m: int, k: int) -> np.ndarray:
@@ -71,11 +71,13 @@ def count_vector_rank(counts: Sequence[int]) -> int:
 
 
 class _Depth(NamedTuple):
-    """Delta-free index data of one fold step, from compositions of t to those of t + 1."""
+    """Delta-free index data of one fold step, from compositions of t to those of t + 1.
 
-    #: ``maps[j, r]``: rank at t + 1 of the r-th composition of t plus one action j.
-    maps: np.ndarray
-    #: ``maps[j]`` as a slice where it is contiguous (always at k = 2), else ``maps[j]``.
+    The cache hands these to every caller, so every array is read-only.
+    """
+
+    #: Per action j: the ranks at t + 1 of the compositions of t plus one j, in
+    #: order, as a slice where they are contiguous (always at k = 2).
     targets: tuple
     #: Per composition of t + 1: its largest action.
     actions: np.ndarray
@@ -87,7 +89,9 @@ class _Depth(NamedTuple):
 def _depth(t: int, k: int) -> _Depth:
     # Adding one action j maps the compositions of t, in order, onto those of
     # t + 1 with a nonzero count j; the copy frees the rest of nonzero's output.
+    # Frozen before it is sliced, so the rows kept as targets are read-only too.
     maps = np.nonzero(_compositions(t + 1, k).T)[1].reshape(k, -1).copy()
+    maps.flags.writeable = False
     targets = tuple(
         slice(int(row[0]), int(row[-1]) + 1) if row[-1] - row[0] == len(row) - 1 else row for row in maps
     )
@@ -96,9 +100,8 @@ def _depth(t: int, k: int) -> _Depth:
     for j, row in enumerate(maps):  # a later (larger) action overwrites
         actions[row] = j
         parents[row] = np.arange(len(row))
-    for shared in (maps, actions, parents):  # the cache hands them to every caller
-        shared.flags.writeable = False
-    return _Depth(maps, targets, actions, parents)
+    actions.flags.writeable = parents.flags.writeable = False
+    return _Depth(targets, actions, parents)
 
 
 def perturbed_action_law(j: int, k: int, delta: float) -> np.ndarray:
@@ -226,9 +229,7 @@ class OracleResult(NamedTuple):
     worst_class: tuple[int, ...]
 
 
-def lipschitz_oracle(
-    n: int, k: int, delta: float, cell_budget: int = DEFAULT_CELL_BUDGET
-) -> OracleResult:
+def lipschitz_oracle(n: int, k: int, delta: float) -> OracleResult:
     """Worst-case Lipschitz constant by exhaustive count-class enumeration.
 
     Maximises ``(1 - delta) * shifted_tv(...)`` over every count class of
@@ -237,23 +238,21 @@ def lipschitz_oracle(
     tested separately), keeping the search exact at desk scale.  The witness
     is the lexicographically smallest class within 1e-12 of the maximum, so
     exact ties are not decided by rounding noise.  Instances whose
-    ``max(classes, k) x states`` cells exceed ``cell_budget`` are refused:
+    ``max(classes, k) x states`` cells exceed :data:`CELL_BUDGET` are refused:
     the last depth's index holds ``k x states`` counts, more than the
     total-variation step's ``classes x states`` only at n = 2.
 
     The class laws come from :func:`_class_laws`, bit-identical to folding
     each class alone, and the witness's count vector is its row of
     :func:`_compositions`.  A depth is held whole, so the cell budget bounds
-    memory too: under 40 bytes per cell, about 400 MB at the default budget.
+    memory too: under 40 bytes per cell, about 400 MB at the budget.  With
+    the index build included (a cold cache), that holds from about (150, 2)
+    upward; smaller calls read more from fixed costs, about 46 at (100, 2).
     """
     checks.instance(n, k, delta)
-    cell_budget = checks.count(cell_budget, "cell budget")
     m = n - 2
     cells = max(math.comb(m + k - 1, k - 1), k) * math.comb(m + k, k - 1)
-    if cells > cell_budget:
-        raise BudgetExceededError(
-            f"oracle instance needs {cells} cells, over the budget of {cell_budget}"
-        )
+    checks.budget(cells, CELL_BUDGET, "oracle instance", "cells")
     values = _shift_tv(_class_laws(m, k, delta), m, k, 0, 1)
     best = float(values.max())
     witness = _compositions(m, k)[int(np.argmax(values >= best - 1e-12))]

@@ -18,7 +18,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import checks
-from .errors import BudgetExceededError, IntegrityError
+from .errors import IntegrityError
 from .integer_pmf import IntegerPmf, binomial_probs
 
 #: Tolerance for agreement between redundant computations of the same value.
@@ -170,8 +170,7 @@ def two_block_max_prob(n: int, delta: float) -> TwoBlockMax:
     """
     checks.count(n, "term count")
     checks.delta(delta)
-    if n > SPLIT_SCAN_LIMIT:
-        raise BudgetExceededError(f"split scan over {n} terms exceeds the limit of {SPLIT_SCAN_LIMIT}")
+    checks.budget(n, SPLIT_SCAN_LIMIT, "split scan", "terms")
     q = 0.5 * delta
     half = n // 2
     # Splits l = n - r for r = 0..half, largest first.  As Binomial(r, 1 - q)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import checks
-from .errors import BudgetExceededError
 from .integer_pmf import IntegerPmf, binomial_probs
 
 #: Largest step count the O(n^2) dynamic programs accept; ``walk_pmf`` takes
@@ -25,8 +24,7 @@ MAX_DP_STEPS = 2**15
 def _check_dp_params(n: int, r: float) -> None:
     checks.count(n, "step count")
     checks.rate(r)
-    if n > MAX_DP_STEPS:
-        raise BudgetExceededError(f"{n} walk steps exceed the dynamic-program budget of {MAX_DP_STEPS}")
+    checks.budget(n, MAX_DP_STEPS, "walk dynamic program", "steps")
 
 
 def walk_pmf(n: int, r: float) -> IntegerPmf:

@@ -3,13 +3,17 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+import lipgames.cli
 import lipgames.coupling
 import lipgames.games
 import lipgames.lipschitz
+import lipgames.oracle
 from lipgames import game_to_dict, random_game
 from lipgames.cli import main
 
@@ -107,7 +111,7 @@ def test_oracle_at_two_players_and_many_actions(capsys):
 
 def test_scan_cell_budget_exit_code(capsys, monkeypatch):
     # the 14-player party has 14 opponent classes: 14 * 28 verdict cells and 14**2 law cells
-    monkeypatch.setattr(lipgames.games, "DEFAULT_CELL_BUDGET", 587)
+    monkeypatch.setattr(lipgames.oracle, "CELL_BUDGET", 587)
     code, out, err = run_cli(capsys, "equilibrium", "--party", "14", "--delta", "0.05", "--epsilon", "0.05")
     assert code == 2
     assert out == ""
@@ -152,7 +156,7 @@ def test_coupling_action_count_cap_exit_code(capsys, command):
     code, out, err = run_cli(capsys, command, "--k", str(2**31 + 1), *args)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: BudgetExceededError: action count")
+    assert err.startswith("error: BudgetExceededError: the int32 action draw needs")
     assert "\n" not in err.strip()
 
 
@@ -254,6 +258,43 @@ def test_sweep_json_format(capsys):
     assert rows[0]["lambda"] == 0.5
 
 
+def test_oversized_sweep_is_refused_before_any_row(tmp_path, capsys, monkeypatch):
+    def no_row(*args):
+        raise AssertionError("a row was evaluated")
+
+    monkeypatch.setattr(lipgames.lipschitz, "lipschitz_constant", no_row)
+    lipgames.cli._parser()  # built once per process, so not part of the refusal
+    out_path = tmp_path / "sweep.csv"
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "sweep", "--n-start", "2", "--n-stop", "10000000", "--k", "3",
+                                 "--delta", "0.5", "--output", str(out_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1.0
+    assert peak < 1 << 16
+    assert (code, out) == (2, "")
+    # each row costs max(n, 4096) walk steps: 4094 rows below the floor, then n up to 10**7
+    assert err == ("error: BudgetExceededError: sweep needs 50000013382464 walk steps, "
+                   "over the budget of 500000000\n")
+    assert not out_path.exists()
+
+
+def test_sweep_budget_boundary(capsys, monkeypatch):
+    # rows 4090..4100 step 5 cost 4096 + 4096 + 4100, and each --delta repeats them
+    args = ["sweep", "--n-start", "4090", "--n-stop", "4100", "--n-step", "5", "--k", "3"]
+    monkeypatch.setattr(lipgames.cli, "MAX_SWEEP_STEPS", 2 * 12292)
+    code, out, err = run_cli(capsys, *args, "--delta", "0.5", "--delta", "0.25")
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 7
+    monkeypatch.setattr(lipgames.cli, "MAX_SWEEP_STEPS", 2 * 12292 - 1)
+    code, out, err = run_cli(capsys, *args, "--delta", "0.5", "--delta", "0.25")
+    assert (code, out) == (2, "")
+    assert err == "error: BudgetExceededError: sweep needs 24584 walk steps, over the budget of 24583\n"
+
+
 def test_sweep_rejects_empty_range(capsys):
     code, _, err = run_cli(
         capsys, "sweep", "--n-start", "5", "--n-stop", "4", "--k", "2", "--delta", "0.5"
@@ -340,12 +381,11 @@ def test_equilibrium_non_numeric_payoff_is_one_line_error(tmp_path, capsys, leaf
     assert "\n" not in err.strip()
 
 
-def test_negative_profile_budget_is_refused(capsys):
-    code, out, err = run_cli(
-        capsys, "equilibrium", "--party", "3", "--delta", "0.1", "--profile-budget", "-1"
-    )
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ValueError:") and "profile budget" in err
+def test_profile_budget_is_not_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["equilibrium", "--party", "4", "--delta", "0.3", "--profile-budget", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --profile-budget 5" in capsys.readouterr().err
 
 
 def test_equilibrium_requires_exactly_one_source(capsys):

@@ -531,7 +531,7 @@ def test_action_count_is_capped_at_two_to_the_31(monkeypatch):
     monkeypatch.setattr(coupling, "_map_blocks", no_walk)
     for simulate in (simulate_coupling, simulate_meet_time, mirrored_action_counts):
         for k in (largest + 1, 2**32):
-            with pytest.raises(BudgetExceededError, match="action count"):
+            with pytest.raises(BudgetExceededError, match="action draw needs"):
                 simulate(3, k, 0.3, 100, seed=1)
 
 

@@ -21,7 +21,7 @@ from lipgames import (
     regret,
     regret_in_unperturbed,
 )
-from lipgames import games
+from lipgames import games, oracle
 
 import brute
 
@@ -142,19 +142,11 @@ def test_translation_bound_on_random_games():
                 assert regret_in_unperturbed(game, profile, delta) <= delta + eps + 1e-12
 
 
-def test_find_eps_nash_budget():
+def test_find_eps_nash_budget(monkeypatch):
     game = constant_game(4, 3, 0.5)
-    with pytest.raises(BudgetExceededError):
-        find_eps_nash(game, 0.1, 1.0, profile_budget=10)
-
-
-def test_profile_budget_is_checked():
-    game = random_game(8, 2, seed=1)
-    for budget in (float("nan"), 1e7, True, -1):
-        with pytest.raises(ValueError, match="profile budget"):
-            find_eps_nash(game, 0.1, 0.0, profile_budget=budget)
-    with pytest.raises(BudgetExceededError):
-        find_eps_nash(game, 0.1, 0.0, profile_budget=0)
+    monkeypatch.setattr(games, "PROFILE_BUDGET", 10)
+    with pytest.raises(BudgetExceededError, match="^equilibrium scan needs 81 profiles, over the budget of 10$"):
+        find_eps_nash(game, 0.1, 1.0)
 
 
 def test_game_validation():
@@ -382,14 +374,14 @@ def test_scan_cells_are_charged_against_the_cell_budget(monkeypatch):
         find_eps_nash(game, 0.1, 0.0)
     # 14 opponent classes: 14 * 28 verdict cells, plus 14**2 law cells for delta > 0
     party = party_game(14, ["even", "odd"] * 7)
-    monkeypatch.setattr(games, "DEFAULT_CELL_BUDGET", 587)
+    monkeypatch.setattr(oracle, "CELL_BUDGET", 587)
     with pytest.raises(BudgetExceededError, match="588 cells"):
         find_eps_nash(party, 0.05, 0.05)
     assert find_eps_nash(party, 0.0, 0.05) is None
-    monkeypatch.setattr(games, "DEFAULT_CELL_BUDGET", 391)
+    monkeypatch.setattr(oracle, "CELL_BUDGET", 391)
     with pytest.raises(BudgetExceededError, match="392 cells"):
         find_eps_nash(party, 0.0, 0.05)
-    monkeypatch.setattr(games, "DEFAULT_CELL_BUDGET", 588)
+    monkeypatch.setattr(oracle, "CELL_BUDGET", 588)
     assert find_eps_nash(party, 0.05, 0.05) is None
 
 

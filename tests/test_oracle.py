@@ -54,7 +54,6 @@ def test_count_vectors_need_no_recursion_at_a_thousand_actions():
 def test_depth_index_equals_the_per_cell_rank_loop(t, k):
     depth = oracle._depth(t, k)
     maps, actions, parents = brute.depth_maps_by_rank(t, k)
-    assert np.array_equal(depth.maps, maps)
     assert np.array_equal(depth.actions, actions)
     assert np.array_equal(depth.parents, parents)
     for target, row in zip(depth.targets, maps):
@@ -191,25 +190,20 @@ def test_oracle_relabel_symmetry():
         assert tv == pytest.approx(tv_swapped, abs=1e-14)
 
 
-def test_oracle_budget():
+def test_oracle_budget(monkeypatch):
+    monkeypatch.setattr(oracle, "CELL_BUDGET", 1000)
     with pytest.raises(BudgetExceededError):
-        lipschitz_oracle(40, 4, 0.3, cell_budget=1000)
+        lipschitz_oracle(40, 4, 0.3)
 
 
-def test_cell_budget_is_checked():
-    for budget in (float("nan"), 1e7, True, -1):
-        with pytest.raises(ValueError, match="cell budget"):
-            lipschitz_oracle(12, 3, 0.3, cell_budget=budget)
-    with pytest.raises(BudgetExceededError):
-        lipschitz_oracle(2, 2, 0.3, cell_budget=0)
-
-
-def test_two_player_budget_charges_the_index_of_k_squared_cells():
+def test_two_player_budget_charges_the_index_of_k_squared_cells(monkeypatch):
     # one class of no players, k states, and the last depth's index of k * k counts
-    assert lipschitz_oracle(2, 40, 0.3, cell_budget=1600) == (0.7, (0,) * 40)
-    with pytest.raises(BudgetExceededError, match="needs 1600 cells"):
-        lipschitz_oracle(2, 40, 0.3, cell_budget=1599)
     assert lipschitz_oracle(2, 1200, 0.3) == (0.7, (0,) * 1200)
+    monkeypatch.setattr(oracle, "CELL_BUDGET", 1600)
+    assert lipschitz_oracle(2, 40, 0.3) == (0.7, (0,) * 40)
+    monkeypatch.setattr(oracle, "CELL_BUDGET", 1599)
+    with pytest.raises(BudgetExceededError, match="needs 1600 cells"):
+        lipschitz_oracle(2, 40, 0.3)
 
 
 def test_two_players_past_the_budget_are_refused_before_allocating():
@@ -224,10 +218,23 @@ def test_two_players_past_the_budget_are_refused_before_allocating():
     assert peak < 1 << 16
 
 
+def _cached_arrays(depth):
+    """Every array one cached depth holds: its non-slice fold targets, actions and parents."""
+    return [a for a in depth.targets if not isinstance(a, slice)] + [depth.actions, depth.parents]
+
+
+def test_depth_hands_out_only_read_only_arrays():
+    # The cache shares every array with every caller, so none may be written.
+    for k in range(2, 6):
+        for t in range(6):
+            assert not any(a.flags.writeable for a in _cached_arrays(oracle._depth(t, k))), (t, k)
+
+
 def test_oracle_leaves_only_the_add_action_maps_behind():
     # The witness's composition array is rebuilt per call; only the delta-free depth
-    # plans stay cached (the index maps, and per class its largest action
-    # and parent row), so what a call keeps alive is about their own bytes.
+    # plans stay cached (the fold targets that are not slices, and per class
+    # its largest action and parent row), so what a call keeps alive is about
+    # their own bytes.
     n = 102
     oracle._depth.cache_clear()
     gc.collect()
@@ -240,14 +247,14 @@ def test_oracle_leaves_only_the_add_action_maps_behind():
     finally:
         tracemalloc.stop()
     plans = [oracle._depth(t, 2) for t in range(n - 1)]
-    assert kept <= 2 * sum(p.maps.nbytes + p.actions.nbytes + p.parents.nbytes for p in plans)
+    assert kept <= 2 * sum(a.nbytes for p in plans for a in _cached_arrays(p))
 
 
 def test_oracle_peak_memory_stays_under_forty_bytes_per_cell():
     # The oracle holds one depth of prefix laws whole, so the cell budget
     # bounds its memory too; the bound is the one its docstring states.
     # Warm, the cached index is not part of a call; cold, its build is.
-    for n, k, cold in ((200, 2, False), (3, 200, True)):
+    for n, k, cold in ((200, 2, False), (200, 2, True), (400, 2, True), (3, 200, True)):
         cells = math.comb(n - 2 + k - 1, k - 1) * math.comb(n - 2 + k, k - 1)
         if cold:
             oracle._depth.cache_clear()

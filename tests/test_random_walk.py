@@ -123,7 +123,7 @@ def test_rejects_bad_step_count():
     "route", (walk_pmf, stay_below_prob, lambda n, r: point_prob(n, r, 0)), ids=("pmf", "stay", "point")
 )
 def test_dp_routes_refuse_steps_over_budget(route):
-    with pytest.raises(BudgetExceededError, match="dynamic-program budget"):
+    with pytest.raises(BudgetExceededError, match="walk dynamic program needs"):
         route(MAX_DP_STEPS + 1, 0.5)
 
 

@@ -206,7 +206,7 @@ def test_closed_forms_refuse_one_trial_over_budget_before_allocating(route):
     # at MAX_TRIALS + 1 a single float array of the trial count is 80 MB
     tracemalloc.start()
     try:
-        with pytest.raises(BudgetExceededError, match="trials exceed the budget"):
+        with pytest.raises(BudgetExceededError, match="binomial pmf needs 10000001 trials"):
             route(MAX_TRIALS + 1, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
