@@ -38,9 +38,11 @@ VERIFY_FAMILIES = ((3, 8), (4, 8), (2, 12))
 VERIFY_TOL = 1e-9
 SWEEP_COLUMNS = ("n", "k", "delta", "lambda", "lower", "upper", "asymptotic", "ratio")
 #: Largest walk-step charge of one sweep, a row of n players costing
-#: ``max(n, _MIN_ROW_STEPS)``.  Measured at 25-100 ns a charged step (2-core
-#: host), so 12-50 s at the limit.  Below the floor, a row's fixed cost
-#: outweighs its steps.
+#: ``max(n, _MIN_ROW_STEPS)``, or ``max(n**2, _MIN_ROW_STEPS)`` when it runs
+#: the split scan (:func:`_row_steps`).  Measured at 12-47 ns a charged step
+#: (CLI runs on a 2-core host: k = 3 at n = 2..14142 12-23, k = 2 at
+#: n = 2..256 with 19 deltas 19-27, k = 3 at n = 1e5..2e6 44-47), so 6-24 s
+#: at the limit.  Below the floor, a row's fixed cost outweighs its steps.
 MAX_SWEEP_STEPS = 5 * 10**8
 _MIN_ROW_STEPS = 1 << 12
 
@@ -129,6 +131,14 @@ def cmd_lambda(ns) -> tuple[int, str]:
     return 0, _render(payload, ns.json)
 
 
+def _row_steps(n: int, k: int) -> int:
+    """Walk steps charged to one sweep row: ``n`` for the O(n) closed forms,
+    ``n**2`` for the O(n^2) split scan of an odd two-action row up to the
+    exact limit, and never below the floor."""
+    scanned = k == 2 and n % 2 == 1 and n <= lz.TWO_ACTION_EXACT_LIMIT
+    return max(n * n if scanned else n, _MIN_ROW_STEPS)
+
+
 def _sweep_rows(ns):
     if ns.n_stop < ns.n_start or ns.n_step < 1:
         raise ValueError("sweep range is empty; need n-start <= n-stop and n-step >= 1")
@@ -138,9 +148,11 @@ def _sweep_rows(ns):
         checks.delta(d)
     checks.instance(ns.n_start, ns.k, ns.delta[0])
     rows = range(ns.n_start, ns.n_stop + 1, ns.n_step)
-    small = range(ns.n_start, min(ns.n_stop + 1, _MIN_ROW_STEPS), ns.n_step)
-    # The rows' n summed in closed form, plus the shortfall of the rows below the floor.
-    steps = len(rows) * (rows[0] + rows[-1]) // 2 + sum(_MIN_ROW_STEPS - n for n in small)
+    small = range(ns.n_start, min(ns.n_stop + 1, max(_MIN_ROW_STEPS, lz.TWO_ACTION_EXACT_LIMIT + 1)),
+                  ns.n_step)
+    # The rows' n summed in closed form, plus the excess charge of the rows below
+    # the floor or the exact limit.
+    steps = len(rows) * (rows[0] + rows[-1]) // 2 + sum(_row_steps(n, ns.k) - n for n in small)
     checks.budget(steps * len(ns.delta), MAX_SWEEP_STEPS, "sweep", "walk steps")
     for n in rows:
         for d in ns.delta:

@@ -10,8 +10,10 @@ from . import checks
 
 #: Largest trial count :func:`binomial_probs` accepts.  The O(n) closed forms
 #: built on it hold a few float arrays of that length (80 MB each at the
-#: limit); larger counts raise :class:`BudgetExceededError` up front instead
-#: of failing with ``MemoryError`` part way through.
+#: limit), and the walk's shared parity table in :mod:`lipgames.random_walk`
+#: keeps at most ``MAX_TRIALS + 1`` entries for the life of the process;
+#: larger counts raise :class:`BudgetExceededError` up front instead of
+#: failing with ``MemoryError`` part way through.
 MAX_TRIALS = 10**7
 
 
@@ -57,7 +59,8 @@ def binomial_probs(m: int, p: float) -> np.ndarray:
     Starts from 1 at the mode, takes cumulative products of the neighbour
     ratios outward in both directions and divides by their sum, so no
     factorial or ``lgamma`` is formed and the peak carries no cancellation.
-    Far tails underflow to 0.  ``p`` may be 0 or 1.
+    Both products are written straight into the one returned array, which is
+    then normalised in place.  Far tails underflow to 0.  ``p`` may be 0 or 1.
     """
     checks.budget(m, MAX_TRIALS, "binomial pmf", "trials")
     if p == 0.0 or p == 1.0:
@@ -66,10 +69,15 @@ def binomial_probs(m: int, p: float) -> np.ndarray:
         return probs
     odds = p / (1.0 - p)
     mode = min(int((m + 1) * p), m)
-    i = np.arange(m + 1, dtype=np.float64)
-    # probs[i + 1] / probs[i] = odds * (m - i) / (i + 1), taken upward from the
-    # mode, and its reciprocal taken downward.
-    up = np.cumprod(odds * (m - i[mode:m]) / (i[mode:m] + 1.0))
-    down = np.cumprod(i[mode:0:-1] / (odds * (m - i[mode:0:-1] + 1.0)))
-    probs = np.concatenate((down[::-1], [1.0], up))
-    return probs / probs.sum()
+    # probs[i + 1] / probs[i] = a[i] / b[i] with a[i] = (m - i) * odds and
+    # b[i] = i + 1: taken upward from the mode, and its reciprocal b / a
+    # downward, written through a reversed view.
+    i = np.arange(m, dtype=np.float64)
+    a = (m - i) * odds
+    b = i + 1.0
+    probs = np.empty(m + 1)
+    probs[mode] = 1.0
+    np.cumprod(a[mode:] / b[mode:], out=probs[mode + 1 :])
+    np.cumprod(b[:mode][::-1] / a[:mode][::-1], out=probs[:mode][::-1])
+    probs /= probs.sum()
+    return probs

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import checks
+from . import checks, integer_pmf
 from .integer_pmf import IntegerPmf, binomial_probs
 
 #: Largest step count the O(n^2) dynamic programs accept; ``walk_pmf`` takes
@@ -56,6 +56,44 @@ def point_prob(n: int, r: float, t: int) -> float:
     return walk_pmf(n, r).prob(t)
 
 
+def _parity_table(size: int) -> np.ndarray:
+    """``f[j] = C(j, floor(j/2)) / 2^j`` for ``j`` in ``0..size - 1``, read-only.
+
+    ``f[j]`` is ``h[ceil(j/2)]`` for the half-length product
+    ``h[i] = prod_{l < i} (2l + 1) / (2l + 2)``: one cumulative product over
+    ``floor(size/2)`` ratios, each entry then repeated twice.  A cumulative
+    product is sequential, so every table's prefix equals the shorter tables
+    bit for bit.
+    """
+    odd = np.arange(1, size, 2, dtype=np.float64)
+    h = np.empty(odd.size + 1)
+    h[0] = 1.0
+    np.cumprod(odd / (odd + 1.0), out=h[1:])
+    table = np.repeat(h, 2)[1 : size + 1]
+    table.flags.writeable = False
+    return table
+
+
+#: The parity table every :func:`passage_prob` call reads.  It only grows,
+#: and is never written: a longer table is built whole and rebound.
+_in_01 = _parity_table(1)
+
+
+def _in_01_prefix(n: int) -> np.ndarray:
+    """``f[0..n]`` of :func:`_parity_table`, from the shared table.
+
+    A table shorter than ``n + 1`` is replaced by one at the next power of
+    two, capped at ``MAX_TRIALS + 1`` entries (80 MB), so an ascending run of
+    calls rebuilds it O(log n) times.  Prefixes are bit-identical at every
+    length, so results do not depend on the order of calls.
+    """
+    global _in_01
+    table = _in_01
+    if table.size <= n:
+        table = _in_01 = _parity_table(min(1 << n.bit_length(), integer_pmf.MAX_TRIALS + 1))
+    return table[: n + 1]
+
+
 def passage_prob(n: int, r: float) -> float:
     """P(walk is in {0, 1} after ``n`` steps).
 
@@ -67,21 +105,17 @@ def passage_prob(n: int, r: float) -> float:
     Computed in O(n) by conditioning on the number ``j`` of non-lazy moves,
     which is Binomial(n, r): given ``j``, the walk is a simple walk after
     ``j`` steps, which sits in {0, 1} with probability
-    ``C(j, floor(j/2)) / 2^j``, that is ``h[ceil(j/2)]`` for the half-length
-    product ``h[i] = prod_{l < i} (2l + 1) / (2l + 2)``: one cumulative product
-    over ``ceil(n/2)`` ratios, each entry then repeated twice.  Step counts above
-    :data:`~lipgames.integer_pmf.MAX_TRIALS` raise
-    :class:`~lipgames.errors.BudgetExceededError` before any array is built.
+    ``f[j] = C(j, floor(j/2)) / 2^j``.  ``f`` does not depend on ``n`` or
+    ``r``, so it is read from the prefix of one table shared by every call
+    (see :func:`_in_01_prefix`), and a call costs one Binomial pmf and one
+    dot product.  Step counts above :data:`~lipgames.integer_pmf.MAX_TRIALS`
+    raise :class:`~lipgames.errors.BudgetExceededError` before any array is
+    built and before the table grows.
     """
-    checks.count(n, "step count")
+    n = checks.count(n, "step count")
     checks.rate(r)
     moves = binomial_probs(n, r)
-    odd = np.arange(1, n + 1, 2, dtype=np.float64)
-    h = np.empty(odd.size + 1)
-    h[0] = 1.0
-    np.cumprod(odd / (odd + 1.0), out=h[1:])
-    in_01 = np.repeat(h, 2)[1 : n + 2]
-    return float(np.dot(moves, in_01))
+    return float(np.dot(moves, _in_01_prefix(n)))
 
 
 def stay_below_prob(n: int, r: float) -> float:

@@ -295,6 +295,34 @@ def test_sweep_budget_boundary(capsys, monkeypatch):
     assert err == "error: BudgetExceededError: sweep needs 24584 walk steps, over the budget of 24583\n"
 
 
+def test_sweep_charges_split_scan_rows_their_square(capsys, monkeypatch):
+    # odd two-action rows up to the exact limit run the O(n^2) split scan:
+    # 253**2 + 4096 + 255**2 + 4096, and row 257 takes the bracket at the floor
+    args = ["sweep", "--n-start", "253", "--n-stop", "257", "--k", "2", "--delta", "0.5"]
+    monkeypatch.setattr(lipgames.cli, "MAX_SWEEP_STEPS", 141322)
+    code, out, err = run_cli(capsys, *args)
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 6
+    monkeypatch.setattr(lipgames.cli, "MAX_SWEEP_STEPS", 141321)
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err == "error: BudgetExceededError: sweep needs 141322 walk steps, over the budget of 141321\n"
+    # a k = 3 row is an O(n) walk sum, charged the floor like row 257 at k = 2
+    assert lipgames.cli._row_steps(255, 3) == lipgames.cli._row_steps(257, 2) == 4096
+
+
+def test_oversized_two_action_sweep_is_refused_at_once(capsys):
+    lipgames.cli._parser()
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "sweep", "--n-start", "2", "--n-stop", "10000000", "--k", "2",
+                             "--delta", "0.5")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    # the k = 3 charge plus n**2 - 4096 for each odd n in 65..255
+    assert err == ("error: BudgetExceededError: sweep needs 50000015741728 walk steps, "
+                   "over the budget of 500000000\n")
+
+
 def test_sweep_rejects_empty_range(capsys):
     code, _, err = run_cli(
         capsys, "sweep", "--n-start", "5", "--n-stop", "4", "--k", "2", "--delta", "0.5"

@@ -1,10 +1,12 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lipgames import BudgetExceededError, passage_prob, point_prob, stay_below_prob, walk_pmf
-from lipgames import random_walk
+from lipgames import integer_pmf, random_walk
 from lipgames.random_walk import MAX_DP_STEPS
 
 import brute
@@ -50,6 +52,42 @@ def test_passage_examples():
     assert passage_prob(0, 0.7) == 1.0
     assert passage_prob(2, 0.5) == pytest.approx(0.625, abs=1e-15)
     assert passage_prob(1, 1 / 3) == pytest.approx(5 / 6, abs=1e-15)
+
+
+def _reset_parity_table(monkeypatch):
+    monkeypatch.setattr(random_walk, "_in_01", random_walk._parity_table(1))
+
+
+def test_passage_does_not_depend_on_call_order(monkeypatch):
+    cases = [(n, r) for n in (0, 1, 2, 3, 7, 64, 65, 300, 1000, 4097, 20000) for r in (0.05, 0.37, 1.0)]
+    expected = {case: brute.passage_prob_by_parity(*case) for case in cases}
+    for order in (sorted(cases), sorted(cases, reverse=True), random.Random(5).sample(cases, len(cases))):
+        _reset_parity_table(monkeypatch)
+        # every value is positive, so equal floats are equal bits
+        assert {case: passage_prob(*case) for case in order} == expected
+    assert not random_walk._in_01.flags.writeable
+
+
+def test_ascending_run_rebuilds_the_parity_table_log_n_times(monkeypatch):
+    _reset_parity_table(monkeypatch)
+    builds = []
+    build = random_walk._parity_table
+    monkeypatch.setattr(random_walk, "_parity_table", lambda size: builds.append(size) or build(size))
+    for n in range(1000):
+        passage_prob(n, 0.3)
+    assert builds == [2**i for i in range(1, 11)]
+
+
+def test_parity_table_holds_at_most_the_trial_budget(monkeypatch):
+    monkeypatch.setattr(integer_pmf, "MAX_TRIALS", 100)
+    _reset_parity_table(monkeypatch)
+    for n in range(101):
+        assert passage_prob(n, 0.3) == brute.passage_prob_by_parity(n, 0.3)
+        assert random_walk._in_01.size <= 101
+    assert random_walk._in_01.size == 101
+    with pytest.raises(BudgetExceededError, match="binomial pmf needs 101 trials"):
+        passage_prob(101, 0.3)
+    assert random_walk._in_01.size == 101
 
 
 def test_stay_below_examples():

@@ -5,8 +5,9 @@
 points next to each split's mean; here they are held to a stated relative
 error bound against mpmath evaluations of the same definitions,
 ``passage_prob`` is tied to the independent ``walk_pmf`` dynamic program and
-bit for bit to the full-length parity product it replaced, and the split
-scan to the O(n^3) convolution scan it replaced.
+bit for bit to the full-length parity product it replaced,
+``binomial_probs`` bit for bit to the concatenated ratio runs it replaced,
+and the split scan to the O(n^3) convolution scan it replaced.
 """
 
 import functools
@@ -16,7 +17,14 @@ import tracemalloc
 import mpmath
 import pytest
 
-from lipgames import BudgetExceededError, binomial_collision_prob, passage_prob, two_block_max_prob, walk_pmf
+from lipgames import (
+    BudgetExceededError,
+    binomial_collision_prob,
+    passage_prob,
+    random_walk,
+    two_block_max_prob,
+    walk_pmf,
+)
 from lipgames.integer_pmf import MAX_TRIALS, binomial_probs
 
 import brute
@@ -204,6 +212,7 @@ def test_passage_equals_the_parity_product_bit_for_bit(r):
 @pytest.mark.parametrize("route", (passage_prob, binomial_collision_prob), ids=("passage", "collision"))
 def test_closed_forms_refuse_one_trial_over_budget_before_allocating(route):
     # at MAX_TRIALS + 1 a single float array of the trial count is 80 MB
+    table = random_walk._in_01
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError, match="binomial pmf needs 10000001 trials"):
@@ -212,6 +221,17 @@ def test_closed_forms_refuse_one_trial_over_budget_before_allocating(route):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+    # the walk's shared parity table is not grown before the refusal
+    assert random_walk._in_01 is table
+
+
+@pytest.mark.parametrize("p", (0.0, 1e-9, 0.0125, 0.27, 0.5, 0.63, 1 - 1e-9, 1.0))
+def test_binomial_probs_equals_the_concatenated_runs_bit_for_bit(p):
+    # mode 0 (p = 1e-9) leaves the downward run empty, mode m (p = 1 - 1e-9)
+    # the upward one
+    for m in [*range(0, 301), 999, 1000, 4040, 16384, 10**6]:
+        probs = binomial_probs(m, p)
+        assert probs.tobytes() == brute.binomial_probs_by_concatenation(m, p).tobytes(), m
 
 
 @pytest.mark.parametrize("p", (0.0, 0.05, 0.3, 0.5, 0.8, 1.0))
