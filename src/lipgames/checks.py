@@ -1,9 +1,9 @@
 """Argument checks shared by the package: one input policy, written once.
 
-Counts and indices are integers, never ``bool``; every float check is a
-comparison that NaN fails; every refusal is a ``ValueError``.  Size limits
-are module constants, each refused by :func:`budget` before anything is
-allocated.
+A bool is never a number: counts, indices and shifts are integers, and
+every float check refuses a bool and is a comparison that NaN fails.  Every
+refusal is a ``ValueError``.  Size limits are module constants, each refused
+by :func:`budget` before anything is allocated.
 """
 
 from __future__ import annotations
@@ -17,6 +17,15 @@ from .errors import BudgetExceededError
 #: worst at r = 0.06), ``count_distribution`` at budget-sized laws 8.3e-14 and
 #: ``pb_pmf`` up to 30,000 terms 8.9e-16.
 SUM_GUARD_TOL = 1e-11
+
+_BOOLS = (bool, np.bool_)
+
+
+def integer(value, name: str) -> int:
+    """``value`` as an int, refused unless it is an integer of either sign."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def count(value, name: str, minimum: int = 0) -> int:
@@ -40,12 +49,12 @@ def budget(need: int, limit: int, what: str, unit: str) -> None:
 
 
 def delta(value, zero_ok: bool = False) -> None:
-    if not (0.0 < value < 1.0 or zero_ok and value == 0.0):
+    if isinstance(value, _BOOLS) or not (0.0 < value < 1.0 or zero_ok and value == 0.0):
         raise ValueError(f"delta must lie in {'[' if zero_ok else '('}0, 1), got {value!r}")
 
 
 def rate(value) -> None:
-    if not 0.0 < value <= 1.0:
+    if isinstance(value, _BOOLS) or not 0.0 < value <= 1.0:
         raise ValueError(f"rate must lie in (0, 1], got {value!r}")
 
 
@@ -56,7 +65,7 @@ def instance(n, k, delta_) -> None:
 
 
 def bound(value, name: str, zero_ok: bool = False) -> None:
-    if not (value > 0.0 or zero_ok and value == 0.0):
+    if isinstance(value, _BOOLS) or not (value > 0.0 or zero_ok and value == 0.0):
         raise ValueError(f"{name} must be {'nonnegative' if zero_ok else 'positive'}, got {value!r}")
 
 

@@ -100,43 +100,27 @@ def _write(text: str, path: str) -> None:
 
 
 def cmd_lambda(ns) -> tuple[int, str]:
-    payload: dict = {"n": ns.n, "k": ns.k, "delta": ns.delta}
-    if ns.method in ("formula", "both"):
+    if ns.method != "oracle":
         res = lz.lipschitz_constant(ns.n, ns.k, ns.delta)
-        payload.update(
-            {
-                "lambda": res.value,
-                "lower": res.lower,
-                "upper": res.upper,
-                "method": res.method,
-                "asymptotic": res.asymptotic,
-            }
-        )
-    if ns.method in ("oracle", "both"):
+    if ns.method != "formula":
         value, worst = orc.lipschitz_oracle(ns.n, ns.k, ns.delta)
         if ns.method == "oracle":
-            payload.update(
-                {
-                    "lambda": value,
-                    "lower": value,
-                    "upper": value,
-                    "method": lz.METHOD_ORACLE,
-                    "asymptotic": lz.asymptotic_estimate(ns.n, ns.k, ns.delta),
-                }
-            )
-        else:
-            payload["oracle"] = value
-            payload["difference"] = abs(payload["lambda"] - value)
+            res = lz.LambdaResult(value, value, value, lz.METHOD_ORACLE,
+                                  lz.asymptotic_estimate(ns.n, ns.k, ns.delta))
+    payload: dict = {"n": ns.n, "k": ns.k, "delta": ns.delta, "lambda": res.value,
+                     "lower": res.lower, "upper": res.upper, "method": res.method,
+                     "asymptotic": res.asymptotic}
+    if ns.method == "both":
+        payload.update(oracle=value, difference=abs(res.value - value))
+    if ns.method != "formula":
         payload["worst_class"] = list(worst)
     return 0, _render(payload, ns.json)
 
 
 def _row_steps(n: int, k: int) -> int:
-    """Walk steps charged to one sweep row: ``n`` for the O(n) closed forms,
-    ``n**2`` for the O(n^2) split scan of an odd two-action row up to the
-    exact limit, and never below the floor."""
-    scanned = k == 2 and n % 2 == 1 and n <= lz.TWO_ACTION_EXACT_LIMIT
-    return max(n * n if scanned else n, _MIN_ROW_STEPS)
+    """Walk steps charged to one sweep row: ``n**2`` when it runs the O(n^2)
+    split scan, ``n`` for the O(n) closed forms, and never below the floor."""
+    return max(n * n if lz._runs_split_scan(n, k) else n, _MIN_ROW_STEPS)
 
 
 def _sweep_rows(ns):
@@ -148,10 +132,9 @@ def _sweep_rows(ns):
         checks.delta(d)
     checks.instance(ns.n_start, ns.k, ns.delta[0])
     rows = range(ns.n_start, ns.n_stop + 1, ns.n_step)
-    small = range(ns.n_start, min(ns.n_stop + 1, max(_MIN_ROW_STEPS, lz.TWO_ACTION_EXACT_LIMIT + 1)),
-                  ns.n_step)
+    small = range(ns.n_start, min(ns.n_stop + 1, _MIN_ROW_STEPS), ns.n_step)
     # The rows' n summed in closed form, plus the excess charge of the rows below
-    # the floor or the exact limit.
+    # the floor, which every split-scan row lies below.
     steps = len(rows) * (rows[0] + rows[-1]) // 2 + sum(_row_steps(n, ns.k) - n for n in small)
     checks.budget(steps * len(ns.delta), MAX_SWEEP_STEPS, "sweep", "walk steps")
     for n in rows:
@@ -243,7 +226,7 @@ def cmd_equilibrium(ns) -> tuple[int, str]:
 
 
 def cmd_delta_star(ns) -> tuple[int, str]:
-    point = lz.delta_fixed_point(ns.n, ns.k, ns.tol)
+    point = lz.delta_fixed_point(ns.n, ns.k)
     payload = {
         "n": ns.n,
         "k": ns.k,
@@ -327,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("delta-star", help="solve lambda(n,k,delta) = delta, starting from the closed form's root")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-10)
     _add_json_flag(p)
 
     sub.add_parser("verify", help="compare lipschitz_constant against the brute-force oracle")

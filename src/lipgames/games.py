@@ -244,7 +244,9 @@ def party_game(n: int, preferences: Sequence[str]) -> AnonymousGame:
 
 def random_game(n: int, k: int, seed: int) -> AnonymousGame:
     """Anonymous game with payoffs drawn i.i.d. uniform on [0, 1] from ``seed``."""
-    rng = np.random.default_rng(seed)
+    n = checks.count(n, "player count", 2)
+    k = checks.count(k, "action count", 2)
+    rng = np.random.default_rng(checks.count(seed, "seed"))
     classes = math.comb(n - 1 + k - 1, k - 1)
     return AnonymousGame(n, k, rng.random((n, k, classes)))
 

@@ -42,15 +42,11 @@ class IntegerPmf:
         return self.offset + self.probs.size - 1
 
     def prob(self, t: int) -> float:
-        """P(X = t), zero outside the stored support."""
-        i = t - self.offset
+        """P(X = t), zero outside the stored support; ``t`` must be an integer."""
+        i = checks.integer(t, "value") - self.offset
         if 0 <= i < self.probs.size:
             return float(self.probs[i])
         return 0.0
-
-    def mean(self) -> float:
-        support = np.arange(self.offset, self.offset + self.probs.size)
-        return float(support @ self.probs)
 
 
 def binomial_probs(m: int, p: float) -> np.ndarray:

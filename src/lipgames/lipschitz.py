@@ -32,6 +32,9 @@ METHOD_ORACLE = "oracle"
 #: midpoint.  Even n always uses the O(n) collision formula.
 TWO_ACTION_EXACT_LIMIT = 256
 
+#: Residual ``|lambda - delta|`` at which :func:`delta_fixed_point` stops.
+FIXED_POINT_TOL = 1e-10
+
 _BRACKET_SLACK = 1e-9
 
 
@@ -165,6 +168,11 @@ def _odd_bracket(n, delta) -> tuple[float, float]:
     return lower, upper
 
 
+def _runs_split_scan(n, k) -> bool:
+    """Whether :func:`_dispatch` runs the O(n^2) split scan at (n, k)."""
+    return k == 2 and n % 2 == 1 and n <= TWO_ACTION_EXACT_LIMIT
+
+
 def _dispatch(n, k, delta) -> LambdaResult:
     """:func:`lipschitz_constant` without its argument check."""
     estimate = _asymptotic(n, k, delta)
@@ -175,7 +183,7 @@ def _dispatch(n, k, delta) -> LambdaResult:
         value = _two_action_even(n, delta)
         return LambdaResult(value, value, value, METHOD_EVEN_WALK, estimate)
     lower, upper = _odd_bracket(n, delta)
-    value = _two_action(n, delta) if n <= TWO_ACTION_EXACT_LIMIT else math.sqrt(lower * upper)
+    value = _two_action(n, delta) if _runs_split_scan(n, k) else math.sqrt(lower * upper)
     return LambdaResult(value, lower, upper, METHOD_ODD_BRACKET, estimate)
 
 
@@ -193,14 +201,17 @@ def _estimate_fixed_point(n, k, lo, hi) -> float:
 
 
 class FixedPoint(NamedTuple):
+    """``value = lambda(n, k, delta)`` lies within ``FIXED_POINT_TOL`` of ``delta``."""
+
     delta: float
     value: float
 
 
-def delta_fixed_point(n: int, k: int, tol: float = 1e-10) -> FixedPoint:
+def delta_fixed_point(n: int, k: int) -> FixedPoint:
     """Solve ``lipschitz_constant(n, k, delta) = delta`` for delta.
 
-    Returns ``(delta, value)`` with ``|value - delta| <= tol``.  The gap
+    Returns ``(delta, value)`` with ``|value - delta| <= FIXED_POINT_TOL``
+    (1e-10), a module constant with no parameter or flag to set it.  The gap
     ``lambda - delta`` is positive near 0 and negative near 1, which
     brackets a root.  For k >= 3 and for k = 2 at even n the root is
     unique: lambda is then ``1 - delta`` times a walk or collision
@@ -218,13 +229,13 @@ def delta_fixed_point(n: int, k: int, tol: float = 1e-10) -> FixedPoint:
     that bracket it takes Illinois steps (regula falsi that halves the
     stored gap of an end kept twice in a row), or the midpoint when the
     interpolant is not strictly inside.  It stops at the first evaluated
-    point with ``|value - delta| <= tol``, or raises ``IntegrityError`` once
+    point within the residual, or raises ``IntegrityError`` once
     the midpoint equals an end of the bracket, which then can shrink no
     further.
     """
-    checks.bound(tol, "tolerance")
     checks.count(n, "player count", 2)
     checks.count(k, "action count", 2)
+    tol = FIXED_POINT_TOL
     lo, hi = 1e-9, 1.0 - 1e-9
     start = _estimate_fixed_point(n, k, lo, hi)
 

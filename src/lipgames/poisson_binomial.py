@@ -38,31 +38,33 @@ TIE_TOL = 1e-12
 SPLIT_SCAN_LIMIT = 2**12
 
 
-def _check_terms(probs, signs):
+def _check_terms(probs, shift, signs):
     probs = np.asarray(probs, dtype=np.float64)
     if probs.ndim != 1:
         raise ValueError("success probabilities must form a one-dimensional sequence")
     checks.unit_interval(probs, "success probabilities")
+    shift = checks.integer(shift, "shift")
     if signs is None:
-        signs = np.ones(probs.size, dtype=np.int64)
-    else:
-        signs = np.asarray(signs, dtype=np.int64)
-        if signs.shape != probs.shape:
-            raise ValueError("signs must match the probabilities in length")
-        if np.any(np.abs(signs) != 1):
-            raise ValueError("signs must be +1 or -1")
-    return probs, signs
+        return probs, shift, np.ones(probs.size, dtype=np.int64)
+    signs = np.asarray(signs)
+    if signs.shape != probs.shape:
+        raise ValueError("signs must match the probabilities in length")
+    signs = [checks.integer(s, "sign") for s in signs.tolist()]
+    if any(abs(s) != 1 for s in signs):
+        raise ValueError("signs must be +1 or -1")
+    return probs, shift, np.array(signs, dtype=np.int64)
 
 
 def pb_pmf(probs, shift: int = 0, signs=None) -> IntegerPmf:
     """Exact pmf of ``sum_i signs[i] * Bernoulli(probs[i]) + shift``.
 
     The support has ``len(probs) + 1`` points; negated terms extend it
-    downward instead of upward.
+    downward instead of upward.  ``shift`` and every sign must be integers,
+    never ``bool``: ``4.7`` and ``1.0`` are refused, not truncated.
     """
-    probs, signs = _check_terms(probs, signs)
+    probs, shift, signs = _check_terms(probs, shift, signs)
     pmf = np.array([1.0])
-    offset = int(shift)
+    offset = shift
     for p, s in zip(probs, signs):
         if s > 0:
             kernel = np.array([1.0 - p, p])
@@ -108,12 +110,12 @@ def normal_approx_error(probs, shift: int = 0, signs=None) -> tuple[float, float
     with the maximum over the support, ``phi(x) = exp(-x^2/2) / sqrt(2 pi)``.
     Degenerate variance is rejected.
     """
-    probs_, signs_ = _check_terms(probs, signs)
-    var = float(np.sum(probs_ * (1.0 - probs_)))
+    probs, shift, signs = _check_terms(probs, shift, signs)
+    var = float(np.sum(probs * (1.0 - probs)))
     if var <= 0.0:
         raise ValueError("variance is zero; there is no normal scale to compare against")
     sigma = math.sqrt(var)
-    mu = float(shift + np.sum(signs_ * probs_))
+    mu = float(shift + np.sum(signs * probs))
     dist = pb_pmf(probs, shift, signs)
     support = np.arange(dist.offset, dist.offset + dist.probs.size)
     z = (support - mu) / sigma

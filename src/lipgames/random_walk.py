@@ -52,7 +52,8 @@ def walk_pmf(n: int, r: float) -> IntegerPmf:
 
 
 def point_prob(n: int, r: float, t: int) -> float:
-    """P(walk is at ``t`` after ``n`` steps); zero outside ``[-n, n]``."""
+    """P(walk is at the integer ``t`` after ``n`` steps); zero outside ``[-n, n]``."""
+    t = checks.integer(t, "position")
     return walk_pmf(n, r).prob(t)
 
 

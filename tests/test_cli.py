@@ -311,6 +311,15 @@ def test_sweep_charges_split_scan_rows_their_square(capsys, monkeypatch):
     assert lipgames.cli._row_steps(255, 3) == lipgames.cli._row_steps(257, 2) == 4096
 
 
+def test_every_split_scan_row_lies_below_the_charge_floor():
+    # the sweep charges rows from the floor on in closed form, as n steps each;
+    # a split-scan row there would be charged n instead of n**2
+    floor = lipgames.cli._MIN_ROW_STEPS
+    scanned = [n for k in (2, 3, 4) for n in range(2, 4 * floor) if lipgames.lipschitz._runs_split_scan(n, k)]
+    assert scanned and max(scanned) < floor
+    assert "TWO_ACTION_EXACT_LIMIT" not in Path(lipgames.cli.__file__).read_text()
+
+
 def test_oversized_two_action_sweep_is_refused_at_once(capsys):
     lipgames.cli._parser()
     start = time.perf_counter()
@@ -485,16 +494,6 @@ def test_nan_epsilon_is_refused(capsys):
     assert err.startswith("error: ValueError:") and "eps" in err
 
 
-def test_nan_tolerance_is_refused_before_bisection(capsys, monkeypatch):
-    def no_evaluation(*args):
-        raise AssertionError("bisection ran")
-
-    monkeypatch.setattr(lipgames.lipschitz, "lipschitz_constant", no_evaluation)
-    code, out, err = run_cli(capsys, "delta-star", "--n", "10", "--k", "3", "--tol", "nan")
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ValueError:") and "tolerance" in err
-
-
 def _strict_json(text):
     def refuse(constant):
         raise AssertionError(f"bare {constant} is not JSON")
@@ -594,13 +593,8 @@ def test_import_builds_no_parser():
     assert done.stdout.strip() == "0"
 
 
-def test_nan_tolerance_is_refused_before_the_bisection_route(capsys, monkeypatch):
-    def no_evaluation(*args):
-        raise AssertionError("bisection ran")
-
-    monkeypatch.setattr(lipgames.lipschitz, "_dispatch", no_evaluation)
-    with pytest.raises(AssertionError, match="bisection ran"):
-        lipgames.lipschitz.delta_fixed_point(10, 3)
-    code, out, err = run_cli(capsys, "delta-star", "--n", "10", "--k", "3", "--tol", "nan")
-    assert (code, out) == (1, "")
-    assert err.startswith("error: ValueError:") and "tolerance" in err
+def test_tol_is_not_an_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["delta-star", "--n", "1000", "--k", "3", "--tol", "1e-8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1e-8" in capsys.readouterr().err

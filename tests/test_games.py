@@ -307,6 +307,30 @@ def test_bool_player_is_refused():
         perturbed_payoff(random_game(3, 2, seed=0), (0, 1, 1), True, 0.5)
 
 
+def test_bool_delta_or_eps_is_refused():
+    # find_eps_nash(game, False, 0.1) used to run as delta = 0, and eps = True as 1
+    game, profile = random_game(3, 2, seed=0), (0, 1, 1)
+    for call in (lambda: find_eps_nash(game, False, 0.1),
+                 lambda: perturbed_payoff(game, profile, 0, np.False_),
+                 lambda: regret(game, profile, False)):
+        with pytest.raises(ValueError, match="delta must lie in"):
+            call()
+    for eps in (True, False, np.True_):
+        with pytest.raises(ValueError, match="eps must be nonnegative"):
+            find_eps_nash(game, 0.3, eps)
+
+
+@pytest.mark.parametrize(
+    "args, match",
+    [((True, 2, 0), "player count"), ((1, 2, 0), "player count"), ((3.0, 2, 0), "player count"),
+     ((3, True, 0), "action count"), ((3, 1, 0), "action count"),
+     ((3, 2, True), "seed"), ((3, 2, -1), "seed"), ((3, 2, 0.5), "seed")],
+)
+def test_random_game_refuses_bad_arguments(args, match):
+    with pytest.raises(ValueError, match=rf"^{match} must be an integer >= \d+, got "):
+        random_game(*args)
+
+
 @pytest.mark.parametrize("delta", (float("nan"), -0.1, 1.0), ids=("nan", "negative", "one"))
 def test_game_delta_outside_zero_to_one_is_refused(delta):
     game, profile = random_game(3, 2, seed=0), (0, 1, 1)

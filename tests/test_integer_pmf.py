@@ -15,10 +15,12 @@ def test_prob_inside_and_outside_support():
     assert pmf.support_max == 1
 
 
-def test_mean():
-    pmf = IntegerPmf(3, [1.0])
-    assert pmf.mean() == 3.0
-    assert IntegerPmf(0, [0.25, 0.5, 0.25]).mean() == pytest.approx(1.0)
+@pytest.mark.parametrize("t", (True, 1.0, 1.5, np.float64(0.0), None), ids=repr)
+def test_prob_refuses_a_non_integer_value(t):
+    pmf = IntegerPmf(-1, [0.25, 0.5, 0.25])
+    with pytest.raises(ValueError, match="value must be an integer"):
+        pmf.prob(t)
+    assert pmf.prob(np.int64(1)) == pmf.prob(-1) == 0.25
 
 
 def test_rejects_negative_entries():

@@ -170,7 +170,7 @@ def test_fixed_point_trivial():
 
 
 def test_fixed_point_residual_and_scale():
-    point = delta_fixed_point(100, 3, tol=1e-10)
+    point = delta_fixed_point(100, 3)
     assert abs(lipschitz_constant(100, 3, point.delta).value - point.delta) <= 1e-10
     scale = 3 * 100 ** (-1 / 3)
     assert 0.05 * scale < point.delta < 5 * scale
@@ -197,11 +197,6 @@ def test_lambda_strictly_decreases_in_delta_where_the_root_is_unique(k, ns):
         assert all(a > b for a, b in zip(values, values[1:])), (n, k)
 
 
-def test_fixed_point_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        delta_fixed_point(10, 3, tol=0.0)
-
-
 def test_bisection_stops_once_the_bracket_cannot_shrink(monkeypatch):
     # no double is within 1e-300 of the root, so the bisection must stop
     # when its midpoint stops moving (about 60 evaluations) and not re-evaluate it
@@ -213,10 +208,19 @@ def test_bisection_stops_once_the_bracket_cannot_shrink(monkeypatch):
         return dispatch(*args)
 
     monkeypatch.setattr(lipschitz_module, "_dispatch", counted)
+    monkeypatch.setattr(lipschitz_module, "FIXED_POINT_TOL", 1e-300)
     with pytest.raises(IntegrityError, match="stalled"):
-        delta_fixed_point(309, 2, tol=1e-300)
+        delta_fixed_point(309, 2)
     assert len(evaluations) <= 100
     assert len(set(evaluations)) == len(evaluations)
+
+
+def test_fixed_point_tolerance_is_a_module_constant(monkeypatch):
+    assert list(inspect.signature(delta_fixed_point).parameters) == ["n", "k"]
+    assert lipschitz_module.FIXED_POINT_TOL == 1e-10
+    monkeypatch.setattr(lipschitz_module, "FIXED_POINT_TOL", 1e-3)
+    point = delta_fixed_point(1000, 3)
+    assert 1e-10 < abs(point.value - point.delta) <= 1e-3
 
 
 def _counted_dispatch(monkeypatch, value=None):
@@ -238,11 +242,11 @@ def _counted_dispatch(monkeypatch, value=None):
 @pytest.mark.parametrize("k", FIXED_POINT_KS)
 def test_fixed_point_agrees_with_the_bisection_in_few_evaluations(monkeypatch, k):
     # the gap's slope is below -1, so two points within tol of it lie within 2 * tol
-    tol = 1e-10
+    tol = lipschitz_module.FIXED_POINT_TOL
     evaluations = _counted_dispatch(monkeypatch)
     for n in FIXED_POINT_NS:
         evaluations.clear()
-        point = delta_fixed_point(n, k, tol)
+        point = delta_fixed_point(n, k)
         assert len(evaluations) <= 16, (n, k)
         assert abs(point.value - point.delta) <= tol, (n, k)
         assert abs(point.delta - brute.bisect_fixed_point(n, k, tol)[0]) <= 2 * tol, (n, k)
@@ -342,7 +346,7 @@ def test_one_instance_check_per_evaluation(monkeypatch, n, k):
 def test_bisection_checks_its_arguments_once(monkeypatch):
     names = _checks_called_from_lipschitz(monkeypatch)
     delta_fixed_point(309, 2)
-    assert names == ["bound", "count", "count"]
+    assert names == ["count", "count"]
 
 
 @pytest.mark.parametrize(

@@ -65,6 +65,7 @@ def test_mode_examples():
 
 def test_mode_with_shift_and_signs():
     assert pb_mode([0.9, 0.9], shift=4, signs=[-1, -1]) == 2
+    assert pb_mode([0.9, 0.9], shift=np.int64(4), signs=np.array([-1, -1])) == 2
 
 
 def test_tv_shift_examples():
@@ -113,6 +114,22 @@ def test_rejects_bad_probabilities():
         pb_pmf([0.5], signs=[2])
     with pytest.raises(ValueError):
         pb_pmf([0.5, 0.5], signs=[1])
+
+
+@pytest.mark.parametrize("shift", (4.7, 0.5, 1.0, True, np.float64(2.0)), ids=repr)
+def test_fractional_or_bool_shift_is_refused(shift):
+    # int(shift) used to truncate: pb_mode([.9, .9], shift=4.7) returned 6
+    for call in (pb_pmf, pb_mode, unit_shift_tv, normal_approx_error):
+        with pytest.raises(ValueError, match="shift must be an integer"):
+            call([0.9, 0.9], shift)
+
+
+@pytest.mark.parametrize("signs", ([1.5, -1], [1.0, -1.0], [True, True], np.array([True, True])), ids=repr)
+def test_fractional_or_bool_signs_are_refused(signs):
+    # the int64 cast used to truncate 1.5 to 1 and read True as +1
+    for call in (pb_pmf, pb_mode, unit_shift_tv, normal_approx_error):
+        with pytest.raises(ValueError, match="sign"):
+            call([0.5, 0.5], 0, signs)
 
 
 def test_two_block_trivial_and_examples():

@@ -109,6 +109,22 @@ def test_point_prob_examples():
     assert point_prob(2, 0.3, 5) == 0.0
 
 
+@pytest.mark.parametrize("t", (True, False, 1.0, 1.5, np.float64(0.0), "1"), ids=repr)
+def test_point_prob_refuses_a_non_integer_position(monkeypatch, t):
+    # True used to read as P(1), and 1.0 or 1.5 raised IndexError
+    monkeypatch.setattr(random_walk, "walk_pmf", None)  # refused before the walk runs
+    with pytest.raises(ValueError, match="position must be an integer"):
+        point_prob(3, 0.5, t)
+
+
+@pytest.mark.parametrize("r", (True, np.True_))
+def test_bool_rate_is_refused(r):
+    # passage_prob(5, True) used to return 0.3125, the value at rate 1
+    for call in (passage_prob, walk_pmf, stay_below_prob):
+        with pytest.raises(ValueError, match="rate"):
+            call(5, r)
+
+
 @pytest.mark.parametrize("r", RATE_GRID)
 def test_reflection_identity_grid(r):
     for n in range(0, 61):
