@@ -1,9 +1,10 @@
 """Argument checks shared by the package: one input policy, written once.
 
-A bool is never a number: counts, indices and shifts are integers, and
-every float check refuses a bool and is a comparison that NaN fails.  Every
-refusal is a ``ValueError``.  Size limits are module constants, each refused
-by :func:`budget` before anything is allocated.
+A bool or a string is never a number: counts, indices and shifts are
+integers, every float check refuses a bool and is a comparison that NaN
+fails, and :func:`array` is the only code that turns an outside array into
+numbers.  Every refusal is a ``ValueError``.  Size limits are module
+constants, each refused by :func:`budget` before anything is allocated.
 """
 
 from __future__ import annotations
@@ -19,18 +20,20 @@ from .errors import BudgetExceededError
 SUM_GUARD_TOL = 1e-11
 
 _BOOLS = (bool, np.bool_)
+_INTS = (int, np.integer)
+_REALS = (int, float, np.integer, np.floating)
 
 
 def integer(value, name: str) -> int:
     """``value`` as an int, refused unless it is an integer of either sign."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+    if isinstance(value, bool) or not isinstance(value, _INTS):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
 def count(value, name: str, minimum: int = 0) -> int:
     """``value`` as an int, refused unless it is an integer >= ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+    if isinstance(value, bool) or not isinstance(value, _INTS) or value < minimum:
         raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
 
@@ -43,9 +46,14 @@ def index(value, size: int, name: str = "action") -> int:
 
 
 def budget(need: int, limit: int, what: str, unit: str) -> None:
-    """Refuse a request that needs more than ``limit`` units: the package's one size refusal."""
+    """Refuse a request that needs more than ``limit`` units: the package's one size refusal.
+
+    A need too long to print, past Python's 4300-digit limit on ``str(int)``,
+    is shown as the power of two below it.
+    """
     if need > limit:
-        raise BudgetExceededError(f"{what} needs {need} {unit}, over the budget of {limit}")
+        shown = need if need.bit_length() <= 1024 else f"over 2**{need.bit_length() - 1}"
+        raise BudgetExceededError(f"{what} needs {shown} {unit}, over the budget of {limit}")
 
 
 def delta(value, zero_ok: bool = False) -> None:
@@ -64,9 +72,9 @@ def instance(n, k, delta_) -> None:
     delta(delta_)
 
 
-def bound(value, name: str, zero_ok: bool = False) -> None:
-    if isinstance(value, _BOOLS) or not (value > 0.0 or zero_ok and value == 0.0):
-        raise ValueError(f"{name} must be {'nonnegative' if zero_ok else 'positive'}, got {value!r}")
+def bound(value, name: str) -> None:
+    if isinstance(value, _BOOLS) or not value >= 0.0:
+        raise ValueError(f"{name} must be nonnegative, got {value!r}")
 
 
 def unit_interval(values: np.ndarray, name: str) -> None:
@@ -74,11 +82,41 @@ def unit_interval(values: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} must lie in [0, 1]")
 
 
+def array(values, name: str, ndim: int = 1, integers: bool = False) -> np.ndarray:
+    """``values`` as float64, or int64 when ``integers``: the one cast of an outside array.
+
+    Refused unless ``ndim``-dimensional and made of real numbers, integers
+    when ``integers``; a bool or a string is never one.  An ndarray is judged
+    by its dtype alone.  A Python sequence is judged entry by entry, as numpy
+    would read ``[True, 0.5]`` as ``[1.0, 0.5]``, and its refusal names the
+    innermost row holding the first bad entry, as in ``payoffs[0][1]``.
+    """
+    arr = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be a {ndim}-D array, got {arr.ndim}-D")
+    what, dtype, kinds, types = (("integers", np.int64, "iu", _INTS) if integers
+                                 else ("numbers", np.float64, "iuf", _REALS))
+    if arr is values:  # judged by its dtype alone
+        where = None if arr.dtype.kind in kinds else ""
+    else:  # one subclass test per type met; the entries are read again only to name a bad one
+        bad = {t for t in set(map(type, arr.flat)) if not issubclass(t, types) or issubclass(t, _BOOLS)}
+        where = None
+        if bad:
+            first = next(i for i, v in enumerate(arr.flat) if type(v) in bad)
+            where = "".join(f"[{i}]" for i in np.unravel_index(first, arr.shape)[:-1])
+    if where is not None:
+        raise ValueError(f"{name}{where} must hold {what} only")
+    try:
+        return arr.astype(dtype, copy=False)
+    except OverflowError:  # a Python int past the range of the dtype
+        raise ValueError(f"{name} must hold {what} within {np.dtype(dtype)} range") from None
+
+
 def probabilities(probs) -> np.ndarray:
-    """``probs`` as float64, refused unless 1-D, non-empty, nonnegative and summing to 1
-    within :data:`SUM_GUARD_TOL` (so an infinite entry fails too)."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if probs.ndim != 1 or probs.size == 0:
+    """``probs`` as :func:`array` makes it, refused unless non-empty, nonnegative and
+    summing to 1 within :data:`SUM_GUARD_TOL` (so an infinite entry fails too)."""
+    probs = array(probs, "probs")
+    if probs.size == 0:
         raise ValueError("probs must be a non-empty one-dimensional array")
     if not np.all(probs >= 0.0):
         raise ValueError("probabilities must be finite and nonnegative")

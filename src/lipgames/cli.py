@@ -126,8 +126,6 @@ def _row_steps(n: int, k: int) -> int:
 def _sweep_rows(ns):
     if ns.n_stop < ns.n_start or ns.n_step < 1:
         raise ValueError("sweep range is empty; need n-start <= n-stop and n-step >= 1")
-    if not ns.delta:
-        raise ValueError("sweep needs at least one --delta")
     for d in ns.delta:
         checks.delta(d)
     checks.instance(ns.n_start, ns.k, ns.delta[0])
@@ -202,7 +200,7 @@ def cmd_equilibrium(ns) -> tuple[int, str]:
     if ns.game is not None:
         game = gm.load_game(ns.game)
     else:
-        prefs = ["even" if i % 2 == 0 else "odd" for i in range(ns.party)]
+        prefs = ("even" if i % 2 == 0 else "odd" for i in range(ns.party))
         game = gm.party_game(ns.party, prefs)
     if ns.epsilon == "auto":
         if ns.delta <= 0.0:

@@ -30,7 +30,6 @@ from .oracle import _class_laws, count_distribution, count_vector_rank
 
 #: Ceiling on the number of profiles an exhaustive scan may visit.
 PROFILE_BUDGET = 10**7
-_NUMBER = (int, float, np.integer, np.floating)
 
 
 @dataclass(frozen=True)
@@ -39,7 +38,8 @@ class AnonymousGame:
 
     ``payoffs[i, j, r]`` is player i's payoff for own action j when the
     opponents' count vector has lexicographic rank r among the k-part
-    compositions of n - 1.
+    compositions of n - 1.  ``payoffs`` passes :func:`lipgames.checks.array`,
+    so a bool or a string entry is refused and the message names its row.
     """
 
     n: int
@@ -49,7 +49,7 @@ class AnonymousGame:
     def __post_init__(self):
         checks.count(self.n, "player count", 2)
         checks.count(self.k, "action count", 2)
-        payoffs = np.asarray(self.payoffs, dtype=np.float64)
+        payoffs = checks.array(self.payoffs, "payoffs", 3)
         object.__setattr__(self, "payoffs", payoffs)
         classes = math.comb(self.n - 1 + self.k - 1, self.k - 1)
         if payoffs.shape != (self.n, self.k, classes):
@@ -188,7 +188,7 @@ def find_eps_nash(game: AnonymousGame, delta: float, eps: float) -> Optional[Sea
     and larger games are refused too.
     """
     checks.delta(delta, zero_ok=True)
-    checks.bound(eps, "eps", zero_ok=True)
+    checks.bound(eps, "eps")
     n, k = game.n, game.k
     checks.budget(k**n, PROFILE_BUDGET, "equilibrium scan", "profiles")
     classes = math.comb(n + k - 2, k - 1)
@@ -223,9 +223,12 @@ def party_game(n: int, preferences: Sequence[str]) -> AnonymousGame:
     "even" and one "odd" player no pure profile gets every regret below
     1/2 in the unperturbed game.
 
-    ``preferences`` lists "even" or "odd" per player.
+    ``preferences`` lists "even" or "odd" per player.  The table's ``2 * n**2``
+    cells are charged against :data:`lipgames.oracle.CELL_BUDGET` before
+    ``preferences`` is read.
     """
     checks.count(n, "player count", 2)
+    checks.budget(2 * n * n, oracle.CELL_BUDGET, "party game", "cells")
     preferences = list(preferences)
     if len(preferences) != n:
         raise ValueError(f"need one preference per player, got {len(preferences)}")
@@ -243,11 +246,16 @@ def party_game(n: int, preferences: Sequence[str]) -> AnonymousGame:
 
 
 def random_game(n: int, k: int, seed: int) -> AnonymousGame:
-    """Anonymous game with payoffs drawn i.i.d. uniform on [0, 1] from ``seed``."""
+    """Anonymous game with payoffs drawn i.i.d. uniform on [0, 1] from ``seed``.
+
+    The table's ``n * k * classes`` cells are charged against
+    :data:`lipgames.oracle.CELL_BUDGET` before it is drawn.
+    """
     n = checks.count(n, "player count", 2)
     k = checks.count(k, "action count", 2)
     rng = np.random.default_rng(checks.count(seed, "seed"))
     classes = math.comb(n - 1 + k - 1, k - 1)
+    checks.budget(n * k * classes, oracle.CELL_BUDGET, "random game", "cells")
     return AnonymousGame(n, k, rng.random((n, k, classes)))
 
 
@@ -257,7 +265,11 @@ def game_to_dict(game: AnonymousGame) -> dict:
 
 
 def parse_game(obj: dict) -> AnonymousGame:
-    """Validate and build a game from its plain-JSON representation."""
+    """Validate and build a game from its plain-JSON representation.
+
+    The document's structure is checked here; its entries are checked once,
+    by :class:`AnonymousGame`, as every payoff table is.
+    """
     if not isinstance(obj, dict):
         raise ValueError("game document must be a JSON object")
     for field in ("n", "k", "payoffs"):
@@ -276,11 +288,7 @@ def parse_game(obj: dict) -> AnonymousGame:
                 raise ValueError(
                     f"payoffs[{i}][{j}] must list {classes} count-vector ranks"
                 )
-            # Numbers only: numpy would read "0.5" or true as a payoff and
-            # raise TypeError, not ValueError, on an object.
-            if not all(isinstance(v, _NUMBER) and not isinstance(v, bool) for v in per_action):
-                raise ValueError(f"payoffs[{i}][{j}] must hold numbers only")
-    return AnonymousGame(n, k, np.asarray(payoffs, dtype=np.float64))
+    return AnonymousGame(n, k, payoffs)
 
 
 def load_game(path) -> AnonymousGame:

@@ -24,13 +24,16 @@ class IntegerPmf:
     ``probs[i]`` is the probability of the value ``offset + i``.  The stored
     support is whatever the producing computation yields; tails are never
     trimmed, so identities between different routes to the same law hold
-    entry by entry.  ``probs`` must pass :func:`lipgames.checks.probabilities`.
+    entry by entry.  ``offset`` must be an integer, never ``bool``, and
+    ``probs`` must pass :func:`lipgames.checks.probabilities`, so a bool or a
+    string entry is refused.
     """
 
     offset: int
     probs: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "offset", checks.integer(self.offset, "offset"))
         object.__setattr__(self, "probs", checks.probabilities(self.probs))
 
     @property

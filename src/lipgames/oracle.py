@@ -46,9 +46,14 @@ def _compositions(m: int, k: int) -> np.ndarray:
 
 
 def count_vectors(m: int, k: int) -> tuple[tuple[int, ...], ...]:
-    """All k-part nonnegative compositions of m, in ascending lexicographic order."""
+    """All k-part nonnegative compositions of m, in ascending lexicographic order.
+
+    Their ``rows * k`` cells are charged against :data:`CELL_BUDGET` before
+    any row is built.
+    """
     m = checks.count(m, "total")
     k = checks.count(k, "action count", 2)
+    checks.budget(math.comb(m + k - 1, k - 1) * k, CELL_BUDGET, "count vectors", "cells")
     return tuple(map(tuple, _compositions(m, k).tolist()))
 
 
@@ -108,9 +113,11 @@ def perturbed_action_law(j: int, k: int, delta: float) -> np.ndarray:
     """Distribution over the k actions of a delta-perturbed action ``j``.
 
     The declared action keeps probability ``1 - delta + delta/k``; every
-    other action receives ``delta/k``.
+    other action receives ``delta/k``.  Its k cells are charged against
+    :data:`CELL_BUDGET`.
     """
     checks.count(k, "action count", 2)
+    checks.budget(k, CELL_BUDGET, "action law", "cells")
     checks.delta(delta)
     checks.index(j, k)
     law = np.full(k, delta / k)
@@ -123,7 +130,9 @@ class CountDistribution:
     """Law of an occupancy vector: probabilities over k-part compositions of m.
 
     ``probs[r]`` is the probability of the composition with lexicographic
-    rank ``r``.  ``probs`` must pass :func:`lipgames.checks.probabilities`.
+    rank ``r``.  ``m`` must be a count and ``k`` at least 2, never ``bool``,
+    and ``probs`` must pass :func:`lipgames.checks.probabilities`, so a bool
+    or a string entry is refused.
     """
 
     m: int
@@ -131,6 +140,8 @@ class CountDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
+        checks.count(self.m, "total")
+        checks.count(self.k, "action count", 2)
         probs = checks.probabilities(self.probs)
         object.__setattr__(self, "probs", probs)
         expected = math.comb(self.m + self.k - 1, self.k - 1)
@@ -194,11 +205,14 @@ def count_distribution(profile: Sequence[int], k: int, delta: float) -> CountDis
 
     Players are folded in sorted-action order with a fixed scatter order, so
     permutations of the profile yield bit-identical probabilities; the law
-    itself depends on the profile only through its action counts.
+    itself depends on the profile only through its action counts.  The
+    last fold's ``k * states`` cells are charged against :data:`CELL_BUDGET`
+    before the first.
     """
     checks.count(k, "action count", 2)
     actions = sorted(checks.index(a, k, "profile action") for a in profile)
     checks.delta(delta)
+    checks.budget(k * math.comb(len(actions) + k - 1, k - 1), CELL_BUDGET, "count distribution", "cells")
     laws = _action_laws(k, delta)
     probs = np.array([1.0])
     for t, action in enumerate(actions):

@@ -1,0 +1,323 @@
+"""The one input policy for arrays, and the size budgets of the functions that take them.
+
+``lipgames.checks.array`` is the only code that turns an outside array into
+numbers: a bool or a string is never a number, an ndarray is judged by its
+dtype alone, and a refusal of a Python sequence names the row of its first
+bad entry.
+"""
+
+import inspect
+import re
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from lipgames import (
+    AnonymousGame,
+    BudgetExceededError,
+    CountDistribution,
+    IntegerPmf,
+    checks,
+    count_distribution,
+    count_vector_rank,
+    count_vectors,
+    normal_approx_error,
+    oracle,
+    parse_game,
+    party_game,
+    pb_mode,
+    pb_pmf,
+    perturbed_action_law,
+    poisson_binomial,
+    random_game,
+    unit_shift_tv,
+)
+from lipgames.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "lipgames"
+PB_CALLS = (pb_pmf, pb_mode, unit_shift_tv, normal_approx_error)
+
+
+def _peak_bytes(call, error, match=None):
+    """Peak traced memory of ``call``, which must raise ``error`` matching ``match``."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(error, match=match):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _game_lists(leaf):
+    """A two-player, two-action payoff table as nested lists, ``leaf`` at [1][0][1]."""
+    return [[[0.1, 0.2], [0.3, 0.4]], [[0.5, leaf], [0.7, 0.8]]]
+
+
+@pytest.mark.parametrize(
+    "probs",
+    ([True, False], [True, 0.5], ["0.5"], np.array([True]), np.array(["0.5"]), np.array([0.5], dtype=object),
+     [0.5, None], [0.5, 1 + 0j], [0.5, [0.5]]),
+    ids=repr,
+)
+def test_bool_string_or_object_probabilities_are_refused(probs):
+    # numpy casts [True, 0.5] and ["0.5"] to floats without complaint
+    for call in PB_CALLS:
+        with pytest.raises(ValueError, match="^success probabilities must hold numbers only$"):
+            call(probs)
+
+
+def test_probabilities_of_the_wrong_dimension_are_refused():
+    for call in PB_CALLS:
+        with pytest.raises(ValueError, match="^success probabilities must be a 1-D array, got 2-D$"):
+            call([[0.5]])
+        with pytest.raises(ValueError, match="^success probabilities must be a 1-D array, got 0-D$"):
+            call(0.5)
+
+
+@pytest.mark.parametrize("signs", ([1, 10**30], [np.int64(1), 2**70]), ids=("python", "mixed"))
+def test_signs_past_int64_are_a_value_error(signs):
+    with pytest.raises(ValueError, match="^signs must hold integers within int64 range$"):
+        pb_pmf([0.5, 0.5], 0, signs)
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [(lambda: IntegerPmf(0, ["1.0"]), "^probs must hold numbers only$"),
+     (lambda: IntegerPmf(0, [True]), "^probs must hold numbers only$"),
+     (lambda: IntegerPmf(0, np.array([True])), "^probs must hold numbers only$"),
+     (lambda: IntegerPmf(0.5, [1.0]), "^offset must be an integer, got 0.5$"),
+     (lambda: IntegerPmf(True, [1.0]), "^offset must be an integer, got True$"),
+     (lambda: IntegerPmf(np.float64(1.0), [1.0]), "^offset must be an integer"),
+     (lambda: CountDistribution(True, 2, [0.5, 0.5]), "^total must be an integer >= 0, got True$"),
+     (lambda: CountDistribution(1, True, [0.5, 0.5]), "^action count must be an integer >= 2, got True$"),
+     (lambda: CountDistribution(1.0, 2, [0.5, 0.5]), "^total must be an integer >= 0, got 1.0$"),
+     (lambda: CountDistribution(1, 2, ["0.5", 0.5]), "^probs must hold numbers only$")],
+    ids=("IntegerPmf-string", "IntegerPmf-bool", "IntegerPmf-bool-array", "IntegerPmf-fractional-offset",
+         "IntegerPmf-bool-offset", "IntegerPmf-float-offset", "CountDistribution-bool-m",
+         "CountDistribution-bool-k", "CountDistribution-float-m", "CountDistribution-string"),
+)
+def test_pmf_classes_refuse_non_numbers(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+@pytest.mark.parametrize("leaf, row", [("0.5", "[1][0]"), (True, "[1][0]"), (np.True_, "[1][0]"), (None, "[1][0]")],
+                         ids=repr)
+def test_game_payoffs_must_be_numbers_and_the_refusal_names_the_row(leaf, row):
+    with pytest.raises(ValueError, match=rf"^payoffs{re.escape(row)} must hold numbers only$"):
+        AnonymousGame(2, 2, _game_lists(leaf))
+    with pytest.raises(ValueError, match=rf"^payoffs{re.escape(row)} must hold numbers only$"):
+        parse_game({"n": 2, "k": 2, "payoffs": _game_lists(leaf)})
+
+
+@pytest.mark.parametrize("dtype", (bool, object, str), ids=repr)
+def test_game_payoff_arrays_are_judged_by_dtype(dtype):
+    with pytest.raises(ValueError, match="^payoffs must hold numbers only$"):
+        AnonymousGame(2, 2, np.ones((2, 2, 2), dtype=dtype))
+
+
+def test_game_payoffs_of_the_wrong_dimension_are_refused():
+    with pytest.raises(ValueError, match="^payoffs must be a 3-D array, got 2-D$"):
+        AnonymousGame(2, 2, np.full((2, 4), 0.5))
+
+
+class _Unreadable(np.ndarray):
+    """An ndarray whose entries cannot be read one by one."""
+
+    @property
+    def flat(self):
+        raise AssertionError("entries read")
+
+    def __iter__(self):
+        raise AssertionError("entries read")
+
+
+def test_an_ndarray_is_judged_by_its_dtype_without_reading_entries():
+    values = np.full(3, 0.5).view(_Unreadable)
+    assert checks.array(values, "x") is values
+    assert AnonymousGame(2, 2, np.full((2, 2, 2), 0.5).view(_Unreadable)).payoffs.dtype == np.float64
+    with pytest.raises(ValueError, match="^x must hold numbers only$"):
+        checks.array(np.array([0.5], dtype=object).view(_Unreadable), "x")
+    with pytest.raises(ValueError, match="^x must hold numbers only$"):
+        checks.array(np.array([True]).view(_Unreadable), "x")
+
+
+VALID_PROBS = (
+    [0, 1],
+    [0.25, 0.75],
+    [1, 0.0],
+    [np.float32(0.375), np.float64(0.625)],
+    np.array([0, 1], dtype=np.int64),
+    np.array([0.375, 0.625], dtype=np.float32),
+    np.array([0.1, 0.9], dtype=np.float64),
+    (0.3, 0.7),
+)
+
+
+@pytest.mark.parametrize("probs", VALID_PROBS, ids=repr)
+def test_valid_inputs_keep_their_values_bit_for_bit(probs):
+    expected = np.asarray(probs, dtype=np.float64)
+    converted = checks.array(probs, "x")
+    assert converted.dtype == np.float64
+    assert converted.tobytes() == expected.tobytes()
+    assert IntegerPmf(0, probs).probs.tobytes() == expected.tobytes()
+    assert CountDistribution(1, 2, probs).probs.tobytes() == expected.tobytes()
+    assert pb_pmf(probs).probs.tobytes() == pb_pmf(expected).probs.tobytes()
+    payoffs = [[list(probs)] * 2] * 2
+    assert AnonymousGame(2, 2, payoffs).payoffs.tobytes() == np.asarray(payoffs, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize(
+    "values",
+    ([0.1, 1, 2**53 + 1, 10**20], [np.float32(0.1), np.int64(-3)], np.array([0.1, 3e38], dtype=np.float32),
+     np.array([2**62 + 1, -5], dtype=np.int64), np.array([7, 200], dtype=np.uint8)),
+    ids=repr,
+)
+def test_any_real_values_convert_as_numpy_casts_them(values):
+    assert checks.array(values, "x").tobytes() == np.asarray(values, dtype=np.float64).tobytes()
+
+
+def test_float64_arrays_are_not_copied():
+    probs = np.array([0.5, 0.5])
+    assert checks.array(probs, "x") is probs
+    assert IntegerPmf(0, probs).probs is probs
+
+
+def test_integer_signs_keep_their_values():
+    for signs in ([1, -1], np.array([1, -1], dtype=np.int8), (np.int64(1), -1)):
+        converted = checks.array(signs, "signs", integers=True)
+        assert converted.dtype == np.int64 and converted.tolist() == [1, -1]
+        assert pb_pmf([0.25, 0.25], 0, signs).probs.tolist() == pb_pmf([0.25, 0.25], 0, [1, -1]).probs.tolist()
+
+
+def test_normal_approx_error_checks_its_terms_once(monkeypatch):
+    expected = normal_approx_error([0.5] * 16)
+    calls = []
+    check_terms = poisson_binomial._check_terms
+
+    def counted(*args):
+        calls.append(args)
+        return check_terms(*args)
+
+    monkeypatch.setattr(poisson_binomial, "_check_terms", counted)
+    assert normal_approx_error([0.5] * 16) == expected
+    assert len(calls) == 1
+
+
+def test_one_converter_and_no_second_checks():
+    games_src, pb_src = (SRC / "games.py").read_text(), (SRC / "poisson_binomial.py").read_text()
+    assert "_NUMBER" not in games_src
+    for text in (games_src, pb_src):
+        assert not re.search(r"np\.asarray\([^)]*dtype=np\.float64", text)
+    assert list(inspect.signature(checks.bound).parameters) == ["value", "name"]
+    assert "at least one --delta" not in (SRC / "cli.py").read_text()
+
+
+# Size budgets: each refusal comes from checks.budget before anything is built.
+
+
+def test_pb_term_budget_boundary(monkeypatch):
+    monkeypatch.setattr(poisson_binomial, "MAX_TERMS", 5)
+    for call in PB_CALLS:
+        call([0.5] * 5)
+        with pytest.raises(BudgetExceededError, match="^Poisson Binomial pmf needs 6 terms, over the budget of 5$"):
+            call([0.5] * 6)
+
+
+def test_pb_term_budget_allows_seconds_and_refuses_before_building():
+    assert poisson_binomial.MAX_TERMS == 2**15
+    probs = np.full(poisson_binomial.MAX_TERMS + 1, 0.5)
+    for call in PB_CALLS:
+        assert _peak_bytes(lambda: call(probs), BudgetExceededError) < 1 << 16
+
+
+@pytest.mark.parametrize(
+    "call, cells",
+    [(lambda: count_vectors(3, 3), 30),
+     (lambda: count_distribution([0, 1, 2], 3, 0.5), 30),
+     (lambda: perturbed_action_law(0, 3, 0.5), 3),
+     (lambda: random_game(3, 2, 0), 18),
+     (lambda: party_game(3, ["even", "odd", "even"]), 18)],
+    ids=("count_vectors", "count_distribution", "perturbed_action_law", "random_game", "party_game"),
+)
+def test_cell_budget_boundary(monkeypatch, call, cells):
+    monkeypatch.setattr(oracle, "CELL_BUDGET", cells)
+    call()
+    monkeypatch.setattr(oracle, "CELL_BUDGET", cells - 1)
+    with pytest.raises(BudgetExceededError, match=rf" needs {cells} cells, over the budget of {cells - 1}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: count_vectors(40, 8), "count vectors needs 503131992 cells"),
+     (lambda: count_distribution([0] * 30, 30, 0.5), "count distribution needs "),
+     (lambda: perturbed_action_law(0, 10**12, 0.5), "action law needs 1000000000000 cells"),
+     (lambda: random_game(100, 100, 0), "random game needs "),
+     (lambda: party_game(100_000, iter(())), "party game needs 20000000000 cells")],
+    ids=("count_vectors", "count_distribution", "perturbed_action_law", "random_game", "party_game"),
+)
+def test_oversized_requests_are_refused_before_allocating(call, message):
+    assert _peak_bytes(call, BudgetExceededError, f"^{message}") < 1 << 16
+
+
+def test_the_readme_two_player_game_still_builds():
+    # 2 players, 2000 actions: 2 * 2000 * 2000 = 8e6 cells, under the budget
+    game = random_game(2, 2000, 0)
+    assert game.payoffs.shape == (2, 2000, 2000)
+
+
+def test_cli_party_over_the_cell_budget_exits_2(capsys):
+    code = main(["equilibrium", "--party", "100000", "--delta", "0.1", "--epsilon", "0.1"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "error: BudgetExceededError: party game needs 20000000000 cells, over the budget of 10000000\n"
+
+
+# Refusals that no other test reaches.
+
+
+def test_cli_auto_epsilon_needs_a_positive_delta(capsys):
+    code = main(["equilibrium", "--party", "4", "--delta", "0"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (1, "")
+    assert captured.err == "error: ValueError: auto epsilon needs delta > 0\n"
+
+
+@pytest.mark.parametrize("doc", ([], "game", None, [1, 2]), ids=repr)
+def test_parse_game_refuses_a_document_that_is_not_an_object(doc):
+    with pytest.raises(ValueError, match="^game document must be a JSON object$"):
+        parse_game(doc)
+
+
+def test_count_vector_rank_needs_two_parts():
+    with pytest.raises(ValueError, match=r"^count vector must have >= 2 parts, got \(3,\)$"):
+        count_vector_rank((3,))
+
+
+def test_count_distribution_prob_refuses_a_vector_of_the_wrong_length_or_sum():
+    # each player keeps their action with probability 0.75
+    dist = count_distribution([0, 1], 2, 0.5)
+    assert dist.prob((1, 1)) == pytest.approx(0.75 * 0.75 + 0.25 * 0.25, abs=1e-15)
+    for counts in ((1, 1, 0), (2,), (1, 2), (0, 1)):
+        with pytest.raises(ValueError, match="^count vector must have 2 parts summing to 2$"):
+            dist.prob(counts)
+
+
+def test_a_need_too_long_to_print_is_still_a_budget_refusal(capsys):
+    # str() of an int past 4300 digits raises ValueError, which used to replace the refusal
+    with pytest.raises(BudgetExceededError, match=r"^x needs over 2\*\*20000 cells, over the budget of 10$"):
+        checks.budget(2**20000 + 5, 10, "x", "cells")
+    with pytest.raises(BudgetExceededError, match=rf"^x needs {2**1024 - 1} cells, over the budget of 10$"):
+        checks.budget(2**1024 - 1, 10, "x", "cells")
+    with pytest.raises(BudgetExceededError, match=r"^count vectors needs over 2\*\*40006 cells"):
+        count_vectors(20000, 20001)
+    code = main(["lambda", "--n", "20000", "--k", "20000", "--delta", "0.3", "--method", "oracle"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        "error: BudgetExceededError: oracle instance needs over 2**79979 cells, over the budget of 10000000\n"
+    )

@@ -274,6 +274,37 @@ def test_fixed_point_converges_on_a_curved_gap(monkeypatch, value, root):
     assert len(evaluations) <= 40
 
 
+def test_fixed_point_returns_from_the_outward_steps(monkeypatch):
+    # lambda is the constant start + 1e-3 * start, so the first outward step lands on the root
+    evaluations = _counted_dispatch(monkeypatch, lambda d: (s := evaluations[0][2]) + 1e-3 * s)
+    point = delta_fixed_point(1000, 3)
+    start = evaluations[0][2]
+    assert len(evaluations) == 2
+    assert point == (start + 1e-3 * start, start + 1e-3 * start)
+
+
+def test_fixed_point_takes_the_midpoint_when_the_interpolant_leaves_the_bracket(monkeypatch):
+    # The gap is root - d below the root and -2**1000 above it.  Against a
+    # power-of-two gap the secant point rounds onto the bracket's low end, so
+    # every bracket step is the midpoint, and bisection reaches the residual.
+    def value(d):
+        root = 1.0005 * evaluations[0][2]
+        return root if d < root else d - 2.0**1000
+
+    evaluations = _counted_dispatch(monkeypatch, value)
+    point = delta_fixed_point(1000, 3)
+    deltas = [args[2] for args in evaluations]
+    start, root = deltas[0], 1.0005 * deltas[0]
+    a, b = start, start + 1e-3 * start
+    assert deltas[1] == b
+    for c in deltas[2:]:
+        assert c == 0.5 * (a + b)
+        a, b = (c, b) if c < root else (a, c)
+    assert point == (deltas[-1], root)
+    assert 0.0 <= root - point.delta <= lipschitz_module.FIXED_POINT_TOL
+    assert len(evaluations) <= 60
+
+
 @pytest.mark.parametrize("value", [2.0, 0.0])
 @pytest.mark.parametrize("n, k", [(2, 2), (1000, 3)])
 def test_fixed_point_refuses_a_gap_of_one_sign(monkeypatch, value, n, k):
