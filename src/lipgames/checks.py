@@ -45,15 +45,19 @@ def index(value, size: int, name: str = "action") -> int:
     return int(value)
 
 
+def _shown(number: int) -> int | str:
+    """``number`` as a message prints it: exact up to 1024 bits, else the power of two
+    below it, as ``str(int)`` refuses past 4300 digits."""
+    return number if number.bit_length() <= 1024 else f"over 2**{number.bit_length() - 1}"
+
+
 def budget(need: int, limit: int, what: str, unit: str) -> None:
     """Refuse a request that needs more than ``limit`` units: the package's one size refusal.
 
-    A need too long to print, past Python's 4300-digit limit on ``str(int)``,
-    is shown as the power of two below it.
+    The need is printed by :func:`_shown`.
     """
     if need > limit:
-        shown = need if need.bit_length() <= 1024 else f"over 2**{need.bit_length() - 1}"
-        raise BudgetExceededError(f"{what} needs {shown} {unit}, over the budget of {limit}")
+        raise BudgetExceededError(f"{what} needs {_shown(need)} {unit}, over the budget of {limit}")
 
 
 def delta(value, zero_ok: bool = False) -> None:

@@ -7,9 +7,9 @@ rank of the opponents' count vector).
 
 ``delta = 0`` is accepted everywhere in this module and means the
 unperturbed game; ``delta > 0`` evaluates expectations under the perturbed
-profile exactly, via the count-vector dynamic program of
+profile exactly, via the count-vector dynamic program and class count of
 :mod:`lipgames.oracle`.  Payoffs and regrets of one profile fold their
-opponents' laws with :func:`~lipgames.oracle.count_distribution`;
+opponents' laws with its unchecked ``_class_law``;
 :func:`find_eps_nash` builds the laws of every opponent count class in one
 batch and scans the profiles against a table of per-player verdicts keyed
 by (player, the opponents' count class, own action).
@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from . import checks, oracle
-from .oracle import _class_laws, count_distribution, count_vector_rank
+from .oracle import _class_law, _class_laws, _classes, count_vector_rank
 
 #: Ceiling on the number of profiles an exhaustive scan may visit.
 PROFILE_BUDGET = 10**7
@@ -40,6 +39,8 @@ class AnonymousGame:
     opponents' count vector has lexicographic rank r among the k-part
     compositions of n - 1.  ``payoffs`` passes :func:`lipgames.checks.array`,
     so a bool or a string entry is refused and the message names its row.
+    A shape refusal prints the class count as :func:`lipgames.checks.budget`
+    prints a need.
     """
 
     n: int
@@ -51,10 +52,10 @@ class AnonymousGame:
         checks.count(self.k, "action count", 2)
         payoffs = checks.array(self.payoffs, "payoffs", 3)
         object.__setattr__(self, "payoffs", payoffs)
-        classes = math.comb(self.n - 1 + self.k - 1, self.k - 1)
+        classes = _classes(self.n - 1, self.k)
         if payoffs.shape != (self.n, self.k, classes):
             raise ValueError(
-                f"payoff table must have shape ({self.n}, {self.k}, {classes}), "
+                f"payoff table must have shape ({self.n}, {self.k}, {checks._shown(classes)}), "
                 f"got {payoffs.shape}"
             )
         checks.unit_interval(payoffs, "payoffs")
@@ -87,7 +88,7 @@ def _check_profile(game: AnonymousGame, profile: Sequence[int]) -> tuple[int, ..
 
 def _opponent_law(game: AnonymousGame, others, delta: float, class_laws=None):
     """Law of the opponents' count vector: a row of ``class_laws`` when given,
-    else their :func:`count_distribution`; its rank when delta = 0."""
+    else their :func:`~lipgames.oracle._class_law`; its rank when delta = 0."""
     counts = [0] * game.k
     for a in others:
         counts[a] += 1
@@ -95,7 +96,7 @@ def _opponent_law(game: AnonymousGame, others, delta: float, class_laws=None):
         return count_vector_rank(counts)
     if class_laws is not None:
         return class_laws[count_vector_rank(counts)]
-    return count_distribution(others, game.k, delta).probs
+    return _class_law(others, game.k, delta)
 
 
 def _values(game: AnonymousGame, player: int, law, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -163,9 +164,7 @@ def regret_in_unperturbed(game: AnonymousGame, profile: Sequence[int], delta: fl
     evaluated in the original game.  If the profile has regret eps in the
     perturbed game, this never exceeds delta + eps.
     """
-    profile = _check_profile(game, profile)
-    checks.delta(delta, zero_ok=True)
-    return _regret(game, profile, delta).unperturbed_regret
+    return regret(game, profile, delta).unperturbed_regret
 
 
 def find_eps_nash(game: AnonymousGame, delta: float, eps: float) -> Optional[SearchResult]:
@@ -191,7 +190,7 @@ def find_eps_nash(game: AnonymousGame, delta: float, eps: float) -> Optional[Sea
     checks.bound(eps, "eps")
     n, k = game.n, game.k
     checks.budget(k**n, PROFILE_BUDGET, "equilibrium scan", "profiles")
-    classes = math.comb(n + k - 2, k - 1)
+    classes = _classes(n - 1, k)
     cells = classes * (n * k + (classes if delta > 0.0 else 0))
     checks.budget(cells, oracle.CELL_BUDGET, "equilibrium scan", "cells")
     class_laws = _class_laws(n - 1, k, delta) if delta > 0.0 else None
@@ -254,7 +253,7 @@ def random_game(n: int, k: int, seed: int) -> AnonymousGame:
     n = checks.count(n, "player count", 2)
     k = checks.count(k, "action count", 2)
     rng = np.random.default_rng(checks.count(seed, "seed"))
-    classes = math.comb(n - 1 + k - 1, k - 1)
+    classes = _classes(n - 1, k)
     checks.budget(n * k * classes, oracle.CELL_BUDGET, "random game", "cells")
     return AnonymousGame(n, k, rng.random((n, k, classes)))
 
@@ -267,8 +266,9 @@ def game_to_dict(game: AnonymousGame) -> dict:
 def parse_game(obj: dict) -> AnonymousGame:
     """Validate and build a game from its plain-JSON representation.
 
-    The document's structure is checked here; its entries are checked once,
-    by :class:`AnonymousGame`, as every payoff table is.
+    The document's structure is checked here, the player and action list
+    lengths before the class count; its entries are checked once, by
+    :class:`AnonymousGame`, as every payoff table is.
     """
     if not isinstance(obj, dict):
         raise ValueError("game document must be a JSON object")
@@ -277,16 +277,17 @@ def parse_game(obj: dict) -> AnonymousGame:
             raise ValueError(f"game document is missing the field {field!r}")
     n, k = checks.count(obj["n"], "field n", 2), checks.count(obj["k"], "field k", 2)
     payoffs = obj["payoffs"]
-    classes = math.comb(n - 1 + k - 1, k - 1)
     if not isinstance(payoffs, list) or len(payoffs) != n:
         raise ValueError(f"payoffs must list {n} players")
     for i, per_player in enumerate(payoffs):
         if not isinstance(per_player, list) or len(per_player) != k:
             raise ValueError(f"payoffs[{i}] must list {k} actions")
+    classes = _classes(n - 1, k)
+    for i, per_player in enumerate(payoffs):
         for j, per_action in enumerate(per_player):
             if not isinstance(per_action, list) or len(per_action) != classes:
                 raise ValueError(
-                    f"payoffs[{i}][{j}] must list {classes} count-vector ranks"
+                    f"payoffs[{i}][{j}] must list {checks._shown(classes)} count-vector ranks"
                 )
     return AnonymousGame(n, k, payoffs)
 

@@ -33,6 +33,14 @@ from . import checks
 CELL_BUDGET = 10**7
 
 
+def _classes(m: int, k: int) -> int:
+    """Count classes of m players over k actions, ``C(m + k - 1, k - 1)``, or a lower bound past 2**15."""
+    j = min(m, k - 1)
+    # Exact while j <= 2**15, where comb(2j, j) takes 0.1 s and grows quadratically.  Past it, 2**j <=
+    # C(2j, j) exceeds every budget and numpy dimension, and j is capped to keep it cheap to multiply.
+    return math.comb(m + k - 1, j) if j <= 2**15 else 2 ** min(j, 2**20)
+
+
 def _compositions(m: int, k: int) -> np.ndarray:
     """All k-part compositions of m, a row each in ascending lexicographic order, unchecked.
 
@@ -41,7 +49,7 @@ def _compositions(m: int, k: int) -> np.ndarray:
     """
     dtype = np.min_scalar_type(m + k)
     row = np.dtype((dtype, (k - 1,)))
-    bars = np.fromiter(itertools.combinations(range(1, m + k), k - 1), row, math.comb(m + k - 1, k - 1))
+    bars = np.fromiter(itertools.combinations(range(1, m + k), k - 1), row, _classes(m, k))
     return np.diff(bars, axis=1, prepend=dtype.type(0), append=dtype.type(m + k)) - 1
 
 
@@ -53,7 +61,7 @@ def count_vectors(m: int, k: int) -> tuple[tuple[int, ...], ...]:
     """
     m = checks.count(m, "total")
     k = checks.count(k, "action count", 2)
-    checks.budget(math.comb(m + k - 1, k - 1) * k, CELL_BUDGET, "count vectors", "cells")
+    checks.budget(_classes(m, k) * k, CELL_BUDGET, "count vectors", "cells")
     return tuple(map(tuple, _compositions(m, k).tolist()))
 
 
@@ -100,7 +108,7 @@ def _depth(t: int, k: int) -> _Depth:
     targets = tuple(
         slice(int(row[0]), int(row[-1]) + 1) if row[-1] - row[0] == len(row) - 1 else row for row in maps
     )
-    actions = np.empty(math.comb(t + k, k - 1), dtype=np.int64)
+    actions = np.empty(_classes(t + 1, k), dtype=np.int64)
     parents = np.empty_like(actions)
     for j, row in enumerate(maps):  # a later (larger) action overwrites
         actions[row] = j
@@ -132,7 +140,8 @@ class CountDistribution:
     ``probs[r]`` is the probability of the composition with lexicographic
     rank ``r``.  ``m`` must be a count and ``k`` at least 2, never ``bool``,
     and ``probs`` must pass :func:`lipgames.checks.probabilities`, so a bool
-    or a string entry is refused.
+    or a string entry is refused.  A shape refusal prints the class count
+    as :func:`lipgames.checks.budget` prints a need.
     """
 
     m: int
@@ -144,10 +153,10 @@ class CountDistribution:
         checks.count(self.k, "action count", 2)
         probs = checks.probabilities(self.probs)
         object.__setattr__(self, "probs", probs)
-        expected = math.comb(self.m + self.k - 1, self.k - 1)
+        expected = _classes(self.m, self.k)
         if probs.shape != (expected,):
             raise ValueError(
-                f"expected {expected} probabilities for m={self.m}, k={self.k}, "
+                f"expected {checks._shown(expected)} probabilities for m={self.m}, k={self.k}, "
                 f"got shape {probs.shape}"
             )
 
@@ -166,8 +175,9 @@ def _fold(probs: np.ndarray, t: int, law: np.ndarray, k: int) -> np.ndarray:
     contiguous rows.  The scatter order over actions is fixed, so equal
     inputs give bit-identical outputs whichever caller folds them.
     """
-    nxt = np.zeros((math.comb(t + k, k - 1),) + probs.shape[1:])
-    for j, target in enumerate(_depth(t, k).targets):
+    depth = _depth(t, k)
+    nxt = np.zeros((depth.actions.size,) + probs.shape[1:])
+    for j, target in enumerate(depth.targets):
         nxt[target] += law[j] * probs
     return nxt
 
@@ -200,32 +210,32 @@ def _class_laws(m: int, k: int, delta: float) -> np.ndarray:
     return np.ascontiguousarray(probs.T)
 
 
-def count_distribution(profile: Sequence[int], k: int, delta: float) -> CountDistribution:
-    """Law of the occupancy vector of a delta-perturbed pure profile.
-
-    Players are folded in sorted-action order with a fixed scatter order, so
-    permutations of the profile yield bit-identical probabilities; the law
-    itself depends on the profile only through its action counts.  The
-    last fold's ``k * states`` cells are charged against :data:`CELL_BUDGET`
-    before the first.
-    """
-    checks.count(k, "action count", 2)
-    actions = sorted(checks.index(a, k, "profile action") for a in profile)
-    checks.delta(delta)
-    checks.budget(k * math.comb(len(actions) + k - 1, k - 1), CELL_BUDGET, "count distribution", "cells")
+def _class_law(actions: Sequence[int], k: int, delta: float) -> np.ndarray:
+    """Occupancy law of delta-perturbed players declaring ``actions``, unchecked but for its ``k * states``
+    cells, charged first, and folded in ascending action order: a function of their counts, bit for bit."""
+    checks.budget(k * _classes(len(actions), k), CELL_BUDGET, "count distribution", "cells")
     laws = _action_laws(k, delta)
     probs = np.array([1.0])
-    for t, action in enumerate(actions):
+    for t, action in enumerate(sorted(actions)):
         probs = _fold(probs, t, laws[action], k)
-    return CountDistribution(len(actions), k, probs)
+    return probs
+
+
+def count_distribution(profile: Sequence[int], k: int, delta: float) -> CountDistribution:
+    """Law of the occupancy vector of a delta-perturbed pure profile: the arguments checked, then
+    :func:`_class_law`, so permutations of the profile yield bit-identical probabilities."""
+    checks.count(k, "action count", 2)
+    actions = [checks.index(a, k, "profile action") for a in profile]
+    checks.delta(delta)
+    return CountDistribution(len(actions), k, _class_law(actions, k, delta))
 
 
 def _shift_tv(probs: np.ndarray, m: int, k: int, j1: int, j2: int) -> np.ndarray:
     """TV distance between the law ``probs`` of m players plus one on j1 vs on j2, per row."""
-    targets = _depth(m, k).targets
-    diff = np.zeros(probs.shape[:-1] + (math.comb(m + k, k - 1),))
-    diff[..., targets[j1]] = probs
-    diff[..., targets[j2]] -= probs
+    depth = _depth(m, k)
+    diff = np.zeros(probs.shape[:-1] + (depth.actions.size,))
+    diff[..., depth.targets[j1]] = probs
+    diff[..., depth.targets[j2]] -= probs
     return 0.5 * np.abs(diff, out=diff).sum(axis=-1)
 
 
@@ -233,8 +243,6 @@ def shifted_tv(dist: CountDistribution, j1: int, j2: int) -> float:
     """TV distance between the occupancy law plus one extra player on j1 vs on j2."""
     checks.index(j1, dist.k)
     checks.index(j2, dist.k)
-    if j1 == j2:
-        return 0.0
     return float(_shift_tv(dist.probs, dist.m, dist.k, j1, j2))
 
 
@@ -265,7 +273,7 @@ def lipschitz_oracle(n: int, k: int, delta: float) -> OracleResult:
     """
     checks.instance(n, k, delta)
     m = n - 2
-    cells = max(math.comb(m + k - 1, k - 1), k) * math.comb(m + k, k - 1)
+    cells = max(_classes(m, k), k) * _classes(m + 1, k)
     checks.budget(cells, CELL_BUDGET, "oracle instance", "cells")
     values = _shift_tv(_class_laws(m, k, delta), m, k, 0, 1)
     best = float(values.max())

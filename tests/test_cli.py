@@ -173,7 +173,7 @@ def test_memory_error_is_one_line_exit_2(capsys, monkeypatch):
 
 def test_equilibrium_builds_each_opponent_law_once(tmp_path, capsys, monkeypatch):
     # every opponent law comes from one batched class-law build, none from a
-    # per-class count_distribution fold
+    # per-class _class_law fold
     builds = collections.Counter()
     batch = lipgames.games._class_laws
 
@@ -182,10 +182,10 @@ def test_equilibrium_builds_each_opponent_law_once(tmp_path, capsys, monkeypatch
         return batch(*args)
 
     def refused(*args):
-        raise AssertionError(f"count_distribution{args} called by the scan")
+        raise AssertionError(f"_class_law{args} called by the scan")
 
     monkeypatch.setattr(lipgames.games, "_class_laws", counted)
-    monkeypatch.setattr(lipgames.games, "count_distribution", refused)
+    monkeypatch.setattr(lipgames.games, "_class_law", refused)
     path = tmp_path / "game.json"
     path.write_text(json.dumps(game_to_dict(random_game(5, 3, seed=8))))
     code, out, _ = run_cli(capsys, "equilibrium", "--game", str(path), "--delta", "0.2", "--json")

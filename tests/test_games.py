@@ -1,3 +1,6 @@
+import collections
+import hashlib
+import inspect
 import itertools
 import json
 import tracemalloc
@@ -21,7 +24,7 @@ from lipgames import (
     regret,
     regret_in_unperturbed,
 )
-from lipgames import games, oracle
+from lipgames import checks, games, oracle
 
 import brute
 
@@ -140,6 +143,66 @@ def test_translation_bound_on_random_games():
             for delta in (0.1, 0.4):
                 eps = regret(game, profile, delta).max_regret
                 assert regret_in_unperturbed(game, profile, delta) <= delta + eps + 1e-12
+
+
+def test_payoffs_and_regrets_keep_their_bits():
+    # sha256 of every payoff and regret below, each float as float.hex(): pinned,
+    # so a change in how opponent laws are built cannot move a bit unseen
+    digest = hashlib.sha256()
+    for game in (random_game(4, 3, 1), random_game(5, 2, 7), party_game(6, ["even", "odd"] * 3),
+                 constant_game(4, 3, 0.7)):
+        for profile in itertools.product(range(game.k), repeat=game.n):
+            for delta in (0.0, 0.05, 0.3, 0.8):
+                report = regret(game, profile, delta)
+                values = [perturbed_payoff(game, profile, i, delta) for i in range(game.n)]
+                values += [report.max_regret, report.unperturbed_regret, regret_in_unperturbed(game, profile, delta)]
+                values += [x for best, gain in report.per_player for x in (best, gain)]
+                line = " ".join(v.hex() if isinstance(v, float) else repr(v) for v in values)
+                digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == "a101a502ca36b79e43b06379b488f35a9f3baabf494380fb27c07099063301b8"
+
+
+def _counted_checks(monkeypatch):
+    """Patch every ``checks`` function and ``CountDistribution``; returns the calls counted by name."""
+    calls = collections.Counter()
+    for name, fn in list(vars(checks).items()):
+        if inspect.isfunction(fn):
+
+            def counted(*args, _name=name, _fn=fn, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(checks, name, counted)
+
+    def refused(*args):
+        raise AssertionError("a CountDistribution was built")
+
+    monkeypatch.setattr(oracle, "CountDistribution", refused)
+    return calls
+
+
+def test_a_payoff_and_a_regret_check_the_profile_once(monkeypatch):
+    game = random_game(4, 3, 1)
+    expected = perturbed_payoff(game, (0, 1, 2, 1), 1, 0.3), regret(game, (0, 1, 2, 1), 0.3)
+    calls = _counted_checks(monkeypatch)
+    assert perturbed_payoff(game, (0, 1, 2, 1), 1, 0.3) == expected[0]
+    assert (calls["index"], calls["delta"]) == (5, 1)  # four profile actions and the player
+    calls.clear()
+    assert regret(game, (0, 1, 2, 1), 0.3) == expected[1]
+    assert (calls["index"], calls["probabilities"]) == (4, 0)
+
+
+def test_regret_in_unperturbed_is_read_off_regret(monkeypatch):
+    game = random_game(4, 3, 1)
+    reports = []
+
+    def recorded(*args):
+        reports.append(regret(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(games, "regret", recorded)
+    assert regret_in_unperturbed(game, (0, 1, 2, 1), 0.3) == reports[0].unperturbed_regret
+    assert len(reports) == 1
 
 
 def test_find_eps_nash_budget(monkeypatch):

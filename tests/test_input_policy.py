@@ -7,7 +7,9 @@ bad entry.
 """
 
 import inspect
+import math
 import re
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -23,6 +25,7 @@ from lipgames import (
     count_distribution,
     count_vector_rank,
     count_vectors,
+    lipschitz_oracle,
     normal_approx_error,
     oracle,
     parse_game,
@@ -321,3 +324,73 @@ def test_a_need_too_long_to_print_is_still_a_budget_refusal(capsys):
     assert captured.err == (
         "error: BudgetExceededError: oracle instance needs over 2**79979 cells, over the budget of 10000000\n"
     )
+
+
+# Class counts: only lipgames.oracle counts classes, and past 2**15 a lower
+# bound stands in for the exact count, so an oversized one is never computed.
+
+
+def test_one_class_count():
+    lines = [line.strip() for path in SRC.glob("*.py") for line in path.read_text().splitlines()]
+    assert [line for line in lines if "math.comb" in line] == [
+        "return math.comb(m + k - 1, j) if j <= 2**15 else 2 ** min(j, 2**20)",
+        "rank += math.comb(remaining + parts - 1, parts - 1) - math.comb(",
+    ]
+    games_src = (SRC / "games.py").read_text()
+    assert "import math" not in games_src and "count_distribution" not in games_src
+
+
+@pytest.fixture
+def exact_counts_only(monkeypatch):
+    """``math.comb`` fails past the index 2**15, where the class count is a lower bound instead."""
+    comb = math.comb
+
+    def guarded(n, j):
+        assert min(j, n - j) <= 2**15, f"comb({n}, {j}) was computed"
+        return comb(n, j)
+
+    monkeypatch.setattr(math, "comb", guarded)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [(lambda: lipschitz_oracle(10**6, 10**6, 0.3), BudgetExceededError,
+      r"oracle instance needs over 2\*\*1999997 cells, over the budget of 10000000"),
+     (lambda: count_vectors(10**6, 10**6), BudgetExceededError, r"count vectors needs over 2\*\*1000018 cells, "),
+     (lambda: random_game(10**6, 10**6, 0), BudgetExceededError, r"random game needs over 2\*\*1000038 cells, "),
+     (lambda: count_distribution([0] * 200_000, 200_000, 0.3), BudgetExceededError,
+      r"count distribution needs over 2\*\*200016 cells, "),
+     (lambda: AnonymousGame(10**6, 10**6, np.zeros((10**6, 10**6, 0))), ValueError,
+      r"payoff table must have shape \(1000000, 1000000, over 2\*\*999999\), got \(1000000, 1000000, 0\)$"),
+     (lambda: parse_game({"n": 10**6, "k": 10**6, "payoffs": []}), ValueError, "payoffs must list 1000000 players$")],
+    ids=("lipschitz_oracle", "count_vectors", "random_game", "count_distribution", "AnonymousGame", "parse_game"),
+)
+def test_an_oversized_class_count_is_refused_without_being_computed(exact_counts_only, call, error, message):
+    start = time.perf_counter()
+    with pytest.raises(error, match=f"^{message}"):
+        call()
+    assert time.perf_counter() - start < 5.0
+
+
+def test_cli_oversized_oracle_exits_2_without_computing_the_class_count(exact_counts_only, capsys):
+    code = main(["lambda", "--n", "1000000", "--k", "1000000", "--delta", "0.3", "--method", "oracle"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == (
+        "error: BudgetExceededError: oracle instance needs over 2**1999997 cells, over the budget of 10000000\n"
+    )
+
+
+def test_shape_refusals_print_a_huge_class_count_as_a_power_of_two(exact_counts_only):
+    # str() of C(15998, 7999), 4815 digits, raises ValueError, which used to replace the refusal
+    with pytest.raises(ValueError, match=r"^payoff table must have shape \(8000, 8000, over 2\*\*15990\), got "):
+        AnonymousGame(8000, 8000, np.zeros((8000, 8000, 0)))
+    for m, shown in ((8000, 15991), (10**6, 999999)):
+        with pytest.raises(ValueError, match=rf"^expected over 2\*\*{shown} probabilities for m={m}, k={m}, got "):
+            CountDistribution(m, m, [1.0])
+    # C(1032, 516) has 1027 bits: past the 1024 printed exactly
+    doc = {"n": 517, "k": 517, "payoffs": [[[] for _ in range(517)] for _ in range(517)]}
+    with pytest.raises(ValueError, match=r"^payoffs\[0\]\[0\] must list over 2\*\*1026 count-vector ranks$"):
+        parse_game(doc)
+    with pytest.raises(ValueError, match=r"^payoff table must have shape \(3, 2, 3\), got \(3, 2, 2\)$"):
+        AnonymousGame(3, 2, np.zeros((3, 2, 2)))

@@ -80,6 +80,29 @@ def test_class_laws_equal_count_distribution_bitwise(m, k):
             assert row.tobytes() == count_distribution(profile, k, delta).probs.tobytes()
 
 
+def test_class_law_equals_count_distribution_bitwise():
+    # every class of up to 8 players over 2..4 actions, its players handed over in descending order
+    for k in (2, 3, 4):
+        for m in range(9):
+            for delta in (0.1, 0.37, 0.9):
+                laws = oracle._class_laws(m, k, delta)
+                for row, counts in zip(laws, count_vectors(m, k)):
+                    profile = [j for j, c in enumerate(counts) for _ in range(c)]
+                    law = oracle._class_law(profile[::-1], k, delta)
+                    assert law.tobytes() == count_distribution(profile, k, delta).probs.tobytes()
+                    assert law.tobytes() == row.tobytes()
+
+
+def test_class_count_is_exact_up_to_2_to_the_15_and_a_lower_bound_past_it():
+    for m in range(12):
+        for k in range(2, 12):
+            assert oracle._classes(m, k) == math.comb(m + k - 1, k - 1)
+    assert oracle._classes(2**15, 2**15 + 1) == math.comb(2**16, 2**15)
+    assert oracle._classes(2**15 + 1, 2**15 + 2) == 2 ** (2**15 + 1) <= math.comb(2**16 + 2, 2**15 + 1)
+    assert oracle._classes(10**6, 3) == math.comb(10**6 + 2, 2)
+    assert oracle._classes(10**12, 10**12) == 2 ** 2**20
+
+
 def test_action_law_examples():
     assert np.allclose(perturbed_action_law(0, 2, 0.5), [0.75, 0.25])
     assert np.allclose(perturbed_action_law(2, 3, 0.3), [0.1, 0.1, 0.8])
