@@ -12,6 +12,9 @@ file.  Non-finite floats appear in JSON as the strings ``"inf"``,
 ``error: <Type>: <message>`` on stderr: 2 for a refused budget or
 exhausted memory, 1 otherwise.  The argument parser is built once per
 process, on the first :func:`main` call, and reused by every later call.
+When the first argument names a command, :func:`main` parses the rest with
+that command's parser alone; any other argument list (none, ``--help`` or
+an unknown command) goes to the top-level parser.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ SWEEP_COLUMNS = ("n", "k", "delta", "lambda", "lower", "upper", "asymptotic", "r
 #: at the limit.  Below the floor, a row's fixed cost outweighs its steps.
 MAX_SWEEP_STEPS = 5 * 10**8
 _MIN_ROW_STEPS = 1 << 12
+_JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 
 def _fmt(x: float) -> str:
@@ -84,7 +88,7 @@ def _render(payload: dict, as_json: bool, table=()) -> str:
     """
     if as_json:
         doc = [dict(zip(table[0], row)) for row in table[1:]] if table else payload
-        return json.dumps(_jsonable(doc), sort_keys=True, allow_nan=False) + "\n"
+        return _JSON.encode(_jsonable(doc)) + "\n"
     lines = [f"{key} = {_text(value)}" for key, value in payload.items()]
     lines += [",".join(_text(cell) for cell in row) for row in table]
     return "".join(line + "\n" for line in lines)
@@ -316,13 +320,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @functools.lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    """The process-wide parser of :func:`main`, built on its first call."""
-    return build_parser()
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The process-wide parser of :func:`main` and its command parsers by name, built on its first call."""
+    parser = build_parser()
+    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, commands
 
 
 def main(argv=None) -> int:
-    ns = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _parser()
+    if argv and argv[0] in commands:
+        # The top-level pass would only read the command name, so its parser alone runs.
+        ns = commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    else:
+        ns = parser.parse_args(argv)
     try:
         # Looked up per call, so a replaced cmd_* function is the one that runs.
         code, text = globals()["cmd_" + ns.command.replace("-", "_")](ns)

@@ -37,10 +37,10 @@ class AnonymousGame:
 
     ``payoffs[i, j, r]`` is player i's payoff for own action j when the
     opponents' count vector has lexicographic rank r among the k-part
-    compositions of n - 1.  ``payoffs`` passes :func:`lipgames.checks.array`,
-    so a bool or a string entry is refused and the message names its row.
-    A shape refusal prints the class count as :func:`lipgames.checks.budget`
-    prints a need.
+    compositions of n - 1.  The table's ``n * k * classes`` cells are charged
+    against :data:`lipgames.oracle.CELL_BUDGET` before ``payoffs`` is read.
+    ``payoffs`` passes :func:`lipgames.checks.array`, so a bool or a string
+    entry is refused and the message names its row.
     """
 
     n: int
@@ -50,13 +50,13 @@ class AnonymousGame:
     def __post_init__(self):
         checks.count(self.n, "player count", 2)
         checks.count(self.k, "action count", 2)
+        classes = _classes(self.n - 1, self.k)
+        checks.budget(self.n * self.k * classes, oracle.CELL_BUDGET, "payoff table", "cells")
         payoffs = checks.array(self.payoffs, "payoffs", 3)
         object.__setattr__(self, "payoffs", payoffs)
-        classes = _classes(self.n - 1, self.k)
         if payoffs.shape != (self.n, self.k, classes):
             raise ValueError(
-                f"payoff table must have shape ({self.n}, {self.k}, {checks._shown(classes)}), "
-                f"got {payoffs.shape}"
+                f"payoff table must have shape ({self.n}, {self.k}, {classes}), got {payoffs.shape}"
             )
         checks.unit_interval(payoffs, "payoffs")
 

@@ -73,6 +73,8 @@ def count_vector_rank(counts: Sequence[int]) -> int:
     rank = 0
     remaining = sum(counts)
     parts = len(counts)
+    # The count of compositions of this sum and length, the size of any table a rank can index.
+    checks.budget(_classes(remaining, parts), CELL_BUDGET, "count vector rank", "classes")
     for c in counts[:-1]:
         # compositions whose current coordinate is smaller than c
         rank += math.comb(remaining + parts - 1, parts - 1) - math.comb(

@@ -1,3 +1,4 @@
+import argparse
 import collections
 import json
 import os
@@ -598,3 +599,65 @@ def test_tol_is_not_an_option(capsys):
         main(["delta-star", "--n", "1000", "--k", "3", "--tol", "1e-8"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --tol 1e-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lambda", "--n", "2013", "--k", "3", "--delta", "0.3123", "--method", "both", "--json"],
+    ["sweep", "--n-start", "4", "--n-stop", "6", "--k", "2", "--delta", "0.3", "--delta", "0.7",
+     "--format", "json"],
+    ["coupling", "--n", "20", "--k", "3", "--delta", "0.3"],
+    ["meet-time", "--n", "5", "--k", "3", "--delta", "0.3", "--samples", "9", "--seed", "4", "--json"],
+    ["equilibrium", "--game", "game.json", "--delta", "0.1"],
+    ["equilibrium", "--party", "14", "--delta", "0.05", "--epsilon", "0.05", "--json"],
+    ["delta-star", "--n", "10", "--k", "3"],
+    ["verify"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_a_command_parses_as_the_top_level_parser_parses_it(argv, monkeypatch):
+    top, commands = lipgames.cli._parser()
+    seen, parsers = [], []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def recorded(ns):
+        seen.append(ns)
+        return 0, ""
+
+    def parse_by(parser, *args):
+        parsers.append(parser)
+        return parse_args(parser, *args)
+
+    monkeypatch.setattr(lipgames.cli, "cmd_" + argv[0].replace("-", "_"), recorded)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", parse_by)
+    assert main(argv) == 0
+    assert parsers == [commands[argv[0]]]
+    assert vars(seen[0]) == vars(top.parse_args(argv))
+
+
+@pytest.mark.parametrize("argv, code, stream, start", [
+    ([], 2, "err", "usage: lipgames [-h]"),
+    (["--help"], 0, "out", "usage: lipgames [-h]"),
+    (["nope"], 2, "err", "usage: lipgames [-h]"),
+    (["lambda", "--bogus", "1"], 2, "err", "usage: lipgames lambda [-h]"),
+], ids=("empty", "help", "unknown-command", "unknown-option"))
+def test_argv_without_a_runnable_command_exits_as_argparse_does(capsys, argv, code, stream, start):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == code
+    assert getattr(capsys.readouterr(), stream).startswith(start)
+
+
+def test_an_unrecognized_argument_is_refused_by_the_command_parser(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["delta-star", "--n", "10", "--k", "3", "--tol", "1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "lipgames delta-star: error: unrecognized arguments: --tol 1")
+
+
+def test_main_reads_sys_argv_when_given_no_arguments(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["lipgames", "lambda", "--n", "4", "--k", "2", "--delta", "0.5"])
+    assert main() == 0
+    assert parse_kv(capsys.readouterr().out)["lambda"] == "0.3125"
+    monkeypatch.setattr(sys, "argv", ["lipgames"])
+    with pytest.raises(SystemExit) as exc:
+        main()
+    assert exc.value.code == 2

@@ -473,11 +473,14 @@ def test_scan_cells_are_charged_against_the_cell_budget(monkeypatch):
 
 
 @pytest.mark.parametrize("delta", (0.0, 0.3))
-def test_scan_over_the_cell_budget_is_refused_before_allocating(delta):
+def test_scan_over_the_cell_budget_is_refused_before_allocating(delta, monkeypatch):
     # 2 players, 2300 actions: 5.29e6 profiles, inside the profile budget,
-    # and 2300 opponent classes, so 2 * 2300 * 2300 verdict cells
+    # and 2300 opponent classes, so 2 * 2300 * 2300 verdict cells, as many
+    # as the payoff table, which is built under a budget that admits it
     payoffs = np.broadcast_to(np.float64(0.5), (2, 2300, 2300))
-    game = AnonymousGame(2, 2300, payoffs)
+    with monkeypatch.context() as patch:
+        patch.setattr(oracle, "CELL_BUDGET", payoffs.size)
+        game = AnonymousGame(2, 2300, payoffs)
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError, match="cells, over the budget"):
