@@ -293,6 +293,10 @@ def parse_game(obj: dict) -> AnonymousGame:
 
 
 def load_game(path) -> AnonymousGame:
-    """Read a game document from a JSON file."""
+    """Read a game document from a JSON file; one nested too deeply to decode is a ``ValueError``."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_game(json.load(handle))
+        try:
+            document = json.load(handle)
+        except RecursionError:
+            raise ValueError("game document is nested too deeply") from None
+    return parse_game(document)

@@ -48,6 +48,8 @@ def _compositions(m: int, k: int) -> np.ndarray:
     in their own order, give the rows in order; the counts are the gaps.
     """
     dtype = np.min_scalar_type(m + k)
+    if m == 0:  # the one row, without the k Python ints combinations would pool for it
+        return np.zeros((1, k), dtype)
     row = np.dtype((dtype, (k - 1,)))
     bars = np.fromiter(itertools.combinations(range(1, m + k), k - 1), row, _classes(m, k))
     return np.diff(bars, axis=1, prepend=dtype.type(0), append=dtype.type(m + k)) - 1
@@ -124,15 +126,13 @@ def perturbed_action_law(j: int, k: int, delta: float) -> np.ndarray:
 
     The declared action keeps probability ``1 - delta + delta/k``; every
     other action receives ``delta/k``.  Its k cells are charged against
-    :data:`CELL_BUDGET`.
+    :data:`CELL_BUDGET`; the law is then the one column :func:`_action_laws` builds.
     """
     checks.count(k, "action count", 2)
     checks.budget(k, CELL_BUDGET, "action law", "cells")
     checks.delta(delta)
     checks.index(j, k)
-    law = np.full(k, delta / k)
-    law[j] += 1.0 - delta
-    return law
+    return _action_laws([j], k, delta)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,9 @@ class CountDistribution:
     ``probs[r]`` is the probability of the composition with lexicographic
     rank ``r``.  ``m`` must be a count and ``k`` at least 2, never ``bool``,
     and ``probs`` must pass :func:`lipgames.checks.probabilities`, so a bool
-    or a string entry is refused.  A shape refusal prints the class count
-    as :func:`lipgames.checks.budget` prints a need.
+    or a string entry is refused.  Its shape is checked before its values
+    are read, and a shape refusal prints the class count as
+    :func:`lipgames.checks.budget` prints a need.
     """
 
     m: int
@@ -153,14 +154,14 @@ class CountDistribution:
     def __post_init__(self):
         checks.count(self.m, "total")
         checks.count(self.k, "action count", 2)
-        probs = checks.probabilities(self.probs)
-        object.__setattr__(self, "probs", probs)
+        probs = checks.array(self.probs, "probs")
         expected = _classes(self.m, self.k)
         if probs.shape != (expected,):
             raise ValueError(
                 f"expected {checks._shown(expected)} probabilities for m={self.m}, k={self.k}, "
                 f"got shape {probs.shape}"
             )
+        object.__setattr__(self, "probs", checks.probabilities(probs))
 
     def prob(self, counts: Sequence[int]) -> float:
         counts = tuple(checks.count(c, "count") for c in counts)
@@ -184,10 +185,11 @@ def _fold(probs: np.ndarray, t: int, law: np.ndarray, k: int) -> np.ndarray:
     return nxt
 
 
-def _action_laws(k: int, delta: float) -> np.ndarray:
-    """Row j: :func:`perturbed_action_law` of action j, unchecked."""
-    laws = np.full((k, k), delta / k)
-    laws.flat[:: k + 1] += 1.0 - delta
+def _action_laws(actions: Sequence[int], k: int, delta: float) -> np.ndarray:
+    """The delta-perturbed law of each of ``actions``, a column each (k x len(actions)), unchecked:
+    the package's one builder of a perturbed player's law."""
+    laws = np.full((k, len(actions)), delta / k)
+    laws[actions, range(len(actions))] = delta / k + (1.0 - delta)
     return laws
 
 
@@ -202,8 +204,9 @@ def _class_laws(m: int, k: int, delta: float) -> np.ndarray:
     prefix is folded once, each class in :func:`count_distribution`'s
     player order, and every row is bit-identical to that function's law.
     The result is a contiguous (classes x states) copy of the last depth.
+    Its k x k action laws (column a: a player declaring a) are built only when m > 0.
     """
-    laws = _action_laws(k, delta).T  # laws[j, a]: P(a player declaring a plays j)
+    laws = _action_laws(range(k), k, delta) if m else None
     probs = np.ones((1, 1))
     for t in range(m):
         depth = _depth(t, k)
@@ -213,13 +216,13 @@ def _class_laws(m: int, k: int, delta: float) -> np.ndarray:
 
 
 def _class_law(actions: Sequence[int], k: int, delta: float) -> np.ndarray:
-    """Occupancy law of delta-perturbed players declaring ``actions``, unchecked but for its ``k * states``
-    cells, charged first, and folded in ascending action order: a function of their counts, bit for bit."""
+    """Occupancy law of players declaring ``actions``, from their law columns alone, unchecked but for its
+    ``k * states`` cells, charged first; folded in ascending order, bit for bit a function of the counts."""
     checks.budget(k * _classes(len(actions), k), CELL_BUDGET, "count distribution", "cells")
-    laws = _action_laws(k, delta)
+    laws = _action_laws(sorted(actions), k, delta)
     probs = np.array([1.0])
-    for t, action in enumerate(sorted(actions)):
-        probs = _fold(probs, t, laws[action], k)
+    for t in range(len(actions)):
+        probs = _fold(probs, t, laws[:, t], k)
     return probs
 
 
@@ -242,9 +245,11 @@ def _shift_tv(probs: np.ndarray, m: int, k: int, j1: int, j2: int) -> np.ndarray
 
 
 def shifted_tv(dist: CountDistribution, j1: int, j2: int) -> float:
-    """TV distance between the occupancy law plus one extra player on j1 vs on j2."""
+    """TV distance between the occupancy law plus one extra player on j1 vs on j2; the ``k * states``
+    cells of the index of m + 1 players it reads are charged against :data:`CELL_BUDGET` first."""
     checks.index(j1, dist.k)
     checks.index(j2, dist.k)
+    checks.budget(dist.k * _classes(dist.m + 1, dist.k), CELL_BUDGET, "shifted tv", "cells")
     return float(_shift_tv(dist.probs, dist.m, dist.k, j1, j2))
 
 

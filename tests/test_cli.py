@@ -419,6 +419,15 @@ def test_equilibrium_non_numeric_payoff_is_one_line_error(tmp_path, capsys, leaf
     assert "\n" not in err.strip()
 
 
+def test_equilibrium_deeply_nested_file_is_one_line_error(tmp_path, capsys):
+    # past the decoder's recursion limit: a ValueError, not a RecursionError traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert run_cli(capsys, "equilibrium", "--game", str(path), "--delta", "0.1") == (
+        1, "", "error: ValueError: game document is nested too deeply\n"
+    )
+
+
 def test_profile_budget_is_not_an_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["equilibrium", "--party", "4", "--delta", "0.3", "--profile-budget", "5"])

@@ -237,6 +237,14 @@ def test_game_file_round_trip(tmp_path):
     assert np.array_equal(loaded.payoffs, game.payoffs)
 
 
+def test_deeply_nested_game_file_is_a_value_error(tmp_path):
+    path = tmp_path / "deep.json"
+    for document in ("[" * 100_000, '{"n": 2, "k": 2, "payoffs": ' + "[" * 100_000):
+        path.write_text(document)
+        with pytest.raises(ValueError, match="^game document is nested too deeply$"):
+            load_game(path)
+
+
 def test_parse_game_diagnostics():
     with pytest.raises(ValueError, match="missing the field"):
         parse_game({"n": 2, "k": 2})

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -6,10 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lipgames import (
+    AnonymousGame,
     BudgetExceededError,
     CountDistribution,
     count_distribution,
@@ -17,6 +19,8 @@ from lipgames import (
     count_vectors,
     lipschitz_oracle,
     perturbed_action_law,
+    random_game,
+    regret,
     shifted_tv,
 )
 from lipgames import oracle
@@ -61,12 +65,20 @@ def test_depth_index_equals_the_per_cell_rank_loop(t, k):
 
 
 def test_action_laws_equal_the_per_action_laws_bitwise():
+    # the batch's k x k matrix, a single fold's columns of its sorted actions and the
+    # checked one-action law all come from the one builder, and agree bit for bit
     for k in (2, 3, 4, 5, 7, 10):
         for delta in (1e-9, 0.1, 0.3, 1 / 3, 0.37, 0.5, 0.85, 0.999):
-            laws = oracle._action_laws(k, delta)
+            laws = oracle._action_laws(range(k), k, delta)
             assert laws.shape == (k, k)
+            actions = sorted([k - 1, 0, 1, k - 1])
+            few = oracle._action_laws(actions, k, delta)
+            assert few.shape == (k, len(actions))
+            assert oracle._action_laws([], k, delta).shape == (k, 0)
             for j in range(k):
-                assert laws[j].tobytes() == perturbed_action_law(j, k, delta).tobytes()
+                assert laws[:, j].tobytes() == perturbed_action_law(j, k, delta).tobytes()
+            for c, j in enumerate(actions):
+                assert few[:, c].tobytes() == laws[:, j].tobytes()
 
 
 @pytest.mark.parametrize("m,k", [(0, 2), (1, 3), (7, 2), (5, 3), (4, 4), (3, 5), (41, 2), (16, 3), (9, 4)])
@@ -91,6 +103,40 @@ def test_class_law_equals_count_distribution_bitwise():
                     law = oracle._class_law(profile[::-1], k, delta)
                     assert law.tobytes() == count_distribution(profile, k, delta).probs.tobytes()
                     assert law.tobytes() == row.tobytes()
+
+
+def test_class_laws_of_no_players_build_no_law_matrix(monkeypatch):
+    def refused(*args):
+        raise AssertionError(f"_action_laws{args} built with nothing to fold")
+
+    monkeypatch.setattr(oracle, "_action_laws", refused)
+    for k in (2, 3, 1000):
+        assert oracle._class_laws(0, k, 0.3).tobytes() == np.ones((1, 1)).tobytes()
+        assert lipschitz_oracle(2, k, 0.3) == (0.7, (0,) * k)
+
+
+def test_laws_keep_their_bits():
+    # sha256 of every law of up to 8 players over 2..5 actions at four deltas: pinned, so
+    # no change to how a law is built can move a bit unseen.  The batch's rows, the
+    # single folds (players handed over in descending order) and the checked laws are
+    # the same bytes, so they share one digest; the one-action laws have their own.
+    digests = {name: hashlib.sha256() for name in ("batch", "single", "checked", "action")}
+    for k in range(2, 6):
+        for m in range(9):
+            for delta in (0.1, 1 / 3, 0.37, 0.9):
+                digests["batch"].update(oracle._class_laws(m, k, delta).tobytes())
+                for counts in count_vectors(m, k):
+                    profile = [j for j, c in enumerate(counts) for _ in range(c)]
+                    digests["single"].update(oracle._class_law(profile[::-1], k, delta).tobytes())
+                    digests["checked"].update(count_distribution(profile, k, delta).probs.tobytes())
+                if m == 0:
+                    for j in range(k):
+                        digests["action"].update(perturbed_action_law(j, k, delta).tobytes())
+    laws = "c1e261ee541b173034071cf9de7ceeea7c2f1e563f3295d0cbdbba18a2cd4905"
+    assert {name: d.hexdigest() for name, d in digests.items()} == {
+        "batch": laws, "single": laws, "checked": laws,
+        "action": "4eb71f858beb24ea41fd81eccd8a48e84b685f53b6c8e3f425c4b6cf29ac8c3a",
+    }
 
 
 def test_class_count_is_exact_up_to_2_to_the_15_and_a_lower_bound_past_it():
@@ -164,6 +210,97 @@ def test_distribution_validation():
         CountDistribution(2, 2, np.array([1.0]))
     with pytest.raises(ValueError):
         CountDistribution(1, 2, np.array([0.7, 0.7]))
+
+
+def _traced_peak(call, error=None):
+    """Peak traced memory of ``call``, which must raise ``error`` when one is given."""
+    tracemalloc.start()
+    try:
+        if error is None:
+            call()
+        else:
+            with pytest.raises(error[0], match=error[1]):
+                call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_distribution_shape_is_checked_before_its_values():
+    # a zero-byte view of 10**8 entries: refused for its shape, never summed
+    view = np.broadcast_to(0.1, (10**8,))
+    message = r"^expected 3 probabilities for m=2, k=2, got shape \(100000000,\)$"
+    assert _traced_peak(lambda: CountDistribution(2, 2, view), (ValueError, message)) < 1 << 20
+
+
+def test_laws_build_only_the_columns_they_fold():
+    for k in (4000, 10**5):  # a k x k matrix would be 128 MB, then 80 GB
+        assert _traced_peak(lambda: count_distribution([], k, 0.3)) < 1 << 20
+        assert count_distribution([], k, 0.3).probs.tolist() == [1.0]
+    lipschitz_oracle(2, 3000, 0.3)  # the index, cached
+    assert _traced_peak(lambda: lipschitz_oracle(2, 3000, 0.3)) < 1 << 20
+    game = random_game(2, 2000, 0)
+    report = regret(game, (3, 7), 0.3)  # the index, cached
+    assert _traced_peak(lambda: regret(game, (3, 7), 0.3)) < 2 << 20
+    assert regret(game, (3, 7), 0.3) == report
+
+
+def test_shifted_tv_charges_the_index_of_one_more_player():
+    dist = count_distribution([2], 3, 0.3)  # the index of two players holds 3 * C(4, 2) = 18 counts
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "CELL_BUDGET", 18)
+        assert shifted_tv(dist, 0, 1) == pytest.approx(0.9, abs=1e-15)
+        patch.setattr(oracle, "CELL_BUDGET", 17)
+        with pytest.raises(BudgetExceededError, match="^shifted tv needs 18 cells, over the budget of 17$"):
+            shifted_tv(dist, 0, 1)
+    # one player over 1000 actions: the index of two would hold 1000 * C(1001, 2) counts
+    dist = count_distribution([0], 1000, 0.3)
+    message = "^shifted tv needs 500500000 cells, over the budget of 10000000$"
+    assert _traced_peak(lambda: shifted_tv(dist, 0, 1), (BudgetExceededError, message)) < 1 << 20
+
+
+def _charged_entries(m, k):
+    """Each oracle entry at m players over k actions, as (name, call, the cells it charges).
+
+    ``shifted_tv`` reads a distribution and ``regret`` a game of m + 1 players, each
+    built here under the default budget when it fits; the game is a zero-byte view.
+    """
+    classes, more = math.comb(m + k - 1, k - 1), math.comb(m + k, k - 1)
+    actions = list(range(m))
+    entries = [
+        ("count_distribution", lambda: count_distribution(actions, k, 0.3), k * classes),
+        ("perturbed_action_law", lambda: perturbed_action_law(k - 1, k, 0.3), k),
+        ("count_vectors", lambda: count_vectors(m, k), classes * k),
+        ("lipschitz_oracle", lambda: lipschitz_oracle(m + 2, k, 0.3), max(classes, k) * more),
+    ]
+    if k * classes <= oracle.CELL_BUDGET:
+        dist = count_distribution(actions, k, 0.3)
+        entries.append(("shifted_tv", lambda: shifted_tv(dist, 0, 1), k * more))
+    if m and (m + 1) * k * classes <= oracle.CELL_BUDGET:
+        game = AnonymousGame(m + 1, k, np.broadcast_to(0.5, (m + 1, k, classes)))
+        entries.append(("regret", lambda: regret(game, [k - 1, *actions], 0.3), k * classes))
+    return entries
+
+
+@settings(max_examples=20, deadline=None)
+@given(m=st.sampled_from((0, 1, 2)), k=st.integers(2, 4000))
+@example(m=0, k=4000)
+@example(m=0, k=1001)
+@example(m=1, k=1000)
+@example(m=1, k=2236)
+@example(m=2, k=126)
+def test_every_oracle_entry_stays_within_its_charge(m, k):
+    # At a tenth of the default budget, to keep the calls it admits small: each entry is
+    # refused exactly when its charge is over the budget, at a small traced peak, and
+    # otherwise peaks at no more than 40 bytes per charged cell, its index built cold.
+    budget = oracle.CELL_BUDGET // 10
+    for name, call, cells in _charged_entries(m, k):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "CELL_BUDGET", budget)
+            oracle._depth.cache_clear()
+            refused = cells > budget
+            peak = _traced_peak(call, (BudgetExceededError, None) if refused else None)
+        assert peak <= (0 if refused else 40 * cells) + (1 << 16), (name, m, k, cells, peak)
 
 
 def test_shifted_tv_trivial_cases():
