@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,8 +63,7 @@ MAX_TABLE_CELLS = 10**6
 MAX_ACTIONS = 2**31
 
 
-@dataclass(frozen=True)
-class CouplingEstimate:
+class CouplingEstimate(NamedTuple):
     """Monte Carlo estimate of the probability the chains never meet."""
 
     estimate: float
@@ -73,8 +72,7 @@ class CouplingEstimate:
     seed: int
 
 
-@dataclass(frozen=True)
-class MeetTimeResult:
+class MeetTimeResult(NamedTuple):
     """First-meeting histogram and gap-transition counts.
 
     ``counts[i]`` is the number of replications whose chains first met at
@@ -337,9 +335,12 @@ def mirrored_action_counts(
     of the mirrored chain ended up taking.  Each row estimates
     ``samples * perturbed_action_law(baseline, k, delta)``: the mirror is a
     bijection on uniform draws, so mirroring never distorts the marginals.
-    The default baseline is the worst-case witness's action: 2 for k >= 3,
-    0 for k = 2.  One table is kept per block, so ``n * k`` times the
-    block count may not exceed ``MAX_TABLE_CELLS``.
+    The default baseline is 2 for k >= 3, an action outside the mirrored
+    pair (actions 2..k-1 are symmetric, so any of them serves), and 0 for
+    k = 2, a convention, as no action lies outside the pair.  It is not the
+    oracle's witness, which puts everyone on action k - 1 at (8, 4, 0.5)
+    and splits as (2, 3) at (7, 2, 0.5).  One table is kept per block, so
+    ``n * k`` times the block count may not exceed ``MAX_TABLE_CELLS``.
     """
     n, k, delta, samples, seed = _check_params(n, k, delta, samples, seed)
     if baseline is None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -61,8 +62,7 @@ class AnonymousGame:
         checks.unit_interval(payoffs, "payoffs")
 
 
-@dataclass(frozen=True)
-class RegretReport:
+class RegretReport(NamedTuple):
     """Per-player best deviations and regrets for one profile.
 
     ``unperturbed_regret`` is :func:`regret_in_unperturbed` of the profile,
@@ -180,20 +180,22 @@ def find_eps_nash(game: AnonymousGame, delta: float, eps: float) -> Optional[Sea
     first use by one matrix-vector product per player and opponent class.
     For delta > 0 the laws of all ``classes = C(n + k - 2, k - 1)``
     opponent count classes are built first, in one batch
-    (:func:`lipgames.oracle._class_laws`).  The table's
-    ``n * k * classes`` cells, plus the laws' ``classes**2`` for
-    delta > 0, are charged against
-    :data:`lipgames.oracle.CELL_BUDGET` before anything is built,
-    and larger games are refused too.
+    (:func:`lipgames.oracle._class_laws`), and the table's
+    ``n * k * classes`` cells plus the laws' ``classes**2`` are charged
+    against :data:`lipgames.oracle.CELL_BUDGET` before anything is built.
+    At delta = 0 no law is built and nothing more is charged: the table
+    holds a byte per payoff cell at most, and the payoff table's cells were
+    charged when the game was built.
     """
     checks.delta(delta, zero_ok=True)
     checks.bound(eps, "eps")
     n, k = game.n, game.k
     checks.budget(k**n, PROFILE_BUDGET, "equilibrium scan", "profiles")
-    classes = _classes(n - 1, k)
-    cells = classes * (n * k + (classes if delta > 0.0 else 0))
-    checks.budget(cells, oracle.CELL_BUDGET, "equilibrium scan", "cells")
-    class_laws = _class_laws(n - 1, k, delta) if delta > 0.0 else None
+    class_laws = None
+    if delta > 0.0:
+        classes = _classes(n - 1, k)
+        checks.budget(classes * (n * k + classes), oracle.CELL_BUDGET, "equilibrium scan", "cells")
+        class_laws = _class_laws(n - 1, k, delta)
     # A count vector c is coded as sum(c[j] * (n + 1)**j): a profile's code
     # sums its players' powers, and a player's opponents' code is it less theirs.
     powers = [(n + 1) ** a for a in range(k)]
@@ -293,10 +295,28 @@ def parse_game(obj: dict) -> AnonymousGame:
 
 
 def load_game(path) -> AnonymousGame:
-    """Read a game document from a JSON file; one nested too deeply to decode is a ``ValueError``."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            document = json.load(handle)
-        except RecursionError:
-            raise ValueError("game document is nested too deeply") from None
+    """Read a game document from a UTF-8 JSON file.
+
+    The file may hold 32 bytes per cell of
+    :data:`lipgames.oracle.CELL_BUDGET`.  A payoff in [0, 1] takes at most
+    23 characters in ``json.dumps`` and 2 more for the ``, `` after it; a
+    row of at least two payoffs adds 4 bytes of brackets and separator, and
+    a player of at least two rows 4 more.  So ``json.dump(game_to_dict(game))``
+    takes at most 28 bytes a cell plus a header under 50 bytes, within the
+    limit for every game :class:`AnonymousGame` admits.  A regular file over
+    the limit is refused by its size before it is read, and a pipe once it
+    yields a byte past the limit.  A document nested too deeply to decode is
+    a ``ValueError``.
+    """
+    limit = 32 * oracle.CELL_BUDGET
+    with open(path, "rb", buffering=0) as handle:
+        checks.budget(os.fstat(handle.fileno()).st_size, limit, "game file", "bytes")
+        data = bytearray()  # a pipe's size reads 0: read it a piece at a time, to a byte past the limit
+        while piece := handle.read(min(limit + 1 - len(data), 1 << 20)):
+            data += piece
+    checks.budget(len(data), limit, "game file", "bytes")
+    try:
+        document = json.loads(data.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("game document is nested too deeply") from None
     return parse_game(document)

@@ -12,7 +12,7 @@ binomials coincide (:func:`binomial_collision_prob`, an O(n) sum).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -137,8 +137,7 @@ def normal_approx_error(probs, shift: int = 0, signs=None) -> tuple[float, float
     return float(gap.max()), sigma
 
 
-@dataclass(frozen=True)
-class TwoBlockMax:
+class TwoBlockMax(NamedTuple):
     """Largest point probability of a split Bernoulli sum.
 
     ``split`` terms count successes and the remaining terms count failures;

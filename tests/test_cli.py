@@ -428,6 +428,16 @@ def test_equilibrium_deeply_nested_file_is_one_line_error(tmp_path, capsys):
     )
 
 
+def test_equilibrium_game_file_over_the_size_limit_exits_2(tmp_path, capsys):
+    # a sparse file a byte over 32 bytes per cell of the budget, refused by its size unread
+    path = tmp_path / "big.json"
+    path.touch()
+    os.truncate(path, 32 * lipgames.oracle.CELL_BUDGET + 1)
+    assert run_cli(capsys, "equilibrium", "--game", str(path), "--delta", "0.1") == (
+        2, "", "error: BudgetExceededError: game file needs 320000001 bytes, over the budget of 320000000\n"
+    )
+
+
 def test_profile_budget_is_not_an_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["equilibrium", "--party", "4", "--delta", "0.3", "--profile-budget", "5"])

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import itertools
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -245,6 +246,53 @@ def test_deeply_nested_game_file_is_a_value_error(tmp_path):
             load_game(path)
 
 
+def test_game_file_over_the_size_limit_is_refused_unread(tmp_path):
+    # 32 bytes per cell of the budget; a sparse file one byte over holds no data to read
+    path = tmp_path / "big.json"
+    path.touch()
+    os.truncate(path, 32 * oracle.CELL_BUDGET + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match="^game file needs 320000001 bytes, over the budget of 320000000$"):
+            load_game(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_piped_game_is_read_to_a_byte_past_the_limit(monkeypatch):
+    monkeypatch.setattr(oracle, "CELL_BUDGET", 100)  # a limit of 3200 bytes
+    small = random_game(3, 2, seed=5)
+    for document, refused in ((json.dumps(game_to_dict(small)).encode(), False), (b" " * 5000, True)):
+        read, write = os.pipe()
+        try:
+            os.write(write, document)
+            os.close(write)
+            if refused:
+                with pytest.raises(BudgetExceededError, match="^game file needs 3201 bytes, over the budget of 3200$"):
+                    load_game(f"/dev/fd/{read}")
+                assert len(os.read(read, 10_000)) == 5000 - 3201
+            else:
+                assert np.array_equal(load_game(f"/dev/fd/{read}").payoffs, small.payoffs)
+        finally:
+            os.close(read)
+
+
+def test_compact_files_of_the_largest_games_load(tmp_path, monkeypatch):
+    # payoffs of the longest rendering, 23 characters, in games of up to 588 of the 600 cells
+    # admitted: each file takes at most 28 bytes a cell plus 50, inside the 32 a cell allowed
+    monkeypatch.setattr(oracle, "CELL_BUDGET", 600)
+    path = tmp_path / "game.json"
+    for n, k in ((2, 2), (3, 2), (17, 2), (2, 17), (7, 3), (3, 7), (4, 4)):
+        cells = n * k * oracle._classes(n - 1, k)
+        payoffs = np.full((n, k, cells // (n * k)), 1.2345678901234567e-100)
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(game_to_dict(AnonymousGame(n, k, payoffs)), handle)
+        assert path.stat().st_size <= 28 * cells + 50
+        assert np.array_equal(load_game(path).payoffs, payoffs)
+
+
 def test_parse_game_diagnostics():
     with pytest.raises(ValueError, match="missing the field"):
         parse_game({"n": 2, "k": 2})
@@ -467,24 +515,22 @@ def test_scan_cells_are_charged_against_the_cell_budget(monkeypatch):
     game = random_game(7, 10, seed=0)
     with pytest.raises(BudgetExceededError, match="^equilibrium scan needs 25400375 cells, over the budget of 10000000$"):
         find_eps_nash(game, 0.1, 0.0)
-    # 14 opponent classes: 14 * 28 verdict cells, plus 14**2 law cells for delta > 0
+    # 14 opponent classes: 14 * 28 verdict cells plus 14**2 law cells, charged for delta > 0 only
     party = party_game(14, ["even", "odd"] * 7)
     monkeypatch.setattr(oracle, "CELL_BUDGET", 587)
     with pytest.raises(BudgetExceededError, match="588 cells"):
         find_eps_nash(party, 0.05, 0.05)
     assert find_eps_nash(party, 0.0, 0.05) is None
-    monkeypatch.setattr(oracle, "CELL_BUDGET", 391)
-    with pytest.raises(BudgetExceededError, match="392 cells"):
-        find_eps_nash(party, 0.0, 0.05)
     monkeypatch.setattr(oracle, "CELL_BUDGET", 588)
     assert find_eps_nash(party, 0.05, 0.05) is None
 
 
-@pytest.mark.parametrize("delta", (0.0, 0.3))
+@pytest.mark.parametrize("delta", (0.3,))
 def test_scan_over_the_cell_budget_is_refused_before_allocating(delta, monkeypatch):
     # 2 players, 2300 actions: 5.29e6 profiles, inside the profile budget,
     # and 2300 opponent classes, so 2 * 2300 * 2300 verdict cells, as many
-    # as the payoff table, which is built under a budget that admits it
+    # as the payoff table, which is built under a budget that admits it,
+    # plus 2300**2 law cells
     payoffs = np.broadcast_to(np.float64(0.5), (2, 2300, 2300))
     with monkeypatch.context() as patch:
         patch.setattr(oracle, "CELL_BUDGET", payoffs.size)
