@@ -340,7 +340,7 @@ def main(argv=None) -> int:
         code, text = globals()["cmd_" + ns.command.replace("-", "_")](ns)
         _write(text, getattr(ns, "output", "-"))
         return code
-    except (ValueError, IntegrityError, OSError, json.JSONDecodeError, MemoryError) as exc:
+    except (ValueError, IntegrityError, OSError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (BudgetExceededError, MemoryError)) else 1
 

@@ -32,7 +32,7 @@ from .oracle import _class_law, _class_laws, _classes, count_vector_rank
 PROFILE_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnonymousGame:
     """n-player, k-action anonymous game with payoffs in [0, 1].
 
@@ -237,12 +237,9 @@ def party_game(n: int, preferences: Sequence[str]) -> AnonymousGame:
         raise ValueError('preferences must be "even" or "odd"')
     # Rank r of the opponents' count vector (attendees, stayers) is just the
     # number of attending opponents.
-    payoffs = np.zeros((n, 2, n))
-    attendees = np.arange(n) + 1
-    for i, pref in enumerate(preferences):
-        want = 0 if pref == "even" else 1
-        payoffs[i, 0, :] = (attendees % 2 == want).astype(np.float64)
-        payoffs[i, 1, :] = 0.5
+    attendees = np.arange(1, n + 1)
+    payoffs = np.full((n, 2, n), 0.5)
+    payoffs[:, 0, :] = attendees % 2 == np.array([p == "odd" for p in preferences])[:, None]
     return AnonymousGame(n, 2, payoffs)
 
 

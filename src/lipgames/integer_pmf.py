@@ -17,7 +17,7 @@ from . import checks
 MAX_TRIALS = 10**7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntegerPmf:
     """Distribution of an integer random variable with contiguous support.
 
@@ -52,6 +52,11 @@ class IntegerPmf:
         return 0.0
 
 
+def charge_trials(m: int) -> None:
+    """Refuse a Binomial pmf of more than :data:`MAX_TRIALS` trials."""
+    checks.budget(m, MAX_TRIALS, "binomial pmf", "trials")
+
+
 def binomial_probs(m: int, p: float) -> np.ndarray:
     """Binomial(m, p) point probabilities at 0..m.
 
@@ -61,7 +66,7 @@ def binomial_probs(m: int, p: float) -> np.ndarray:
     Both products are written straight into the one returned array, which is
     then normalised in place.  Far tails underflow to 0.  ``p`` may be 0 or 1.
     """
-    checks.budget(m, MAX_TRIALS, "binomial pmf", "trials")
+    charge_trials(m)
     if p == 0.0 or p == 1.0:
         probs = np.zeros(m + 1)
         probs[m if p == 1.0 else 0] = 1.0

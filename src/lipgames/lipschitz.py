@@ -13,10 +13,11 @@ sum, and at odd n it is bracketed by the adjacent even values.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from . import checks
+from . import checks, integer_pmf
 from . import poisson_binomial as pb
 from . import random_walk as rw
 from .errors import IntegrityError
@@ -74,6 +75,8 @@ def asymptotic_estimate(n: int, k: int, delta: float) -> float:
     checks.count(n, "player count", 1)
     checks.count(k, "action count", 2)
     checks.delta(delta)
+    _float_range(n, "player count")
+    _float_range(k, "action count")
     return _asymptotic(n, k, delta)
 
 
@@ -85,6 +88,7 @@ def lipschitz_multi_action(n: int, k: int, delta: float) -> LambdaResult:
     checks.instance(n, k, delta)
     if k < 3:
         raise ValueError("k must be at least 3; use the two-action routines for k = 2")
+    _charge(n, k)
     return _dispatch(n, k, delta)
 
 
@@ -138,6 +142,7 @@ def lipschitz_constant(n: int, k: int, delta: float) -> LambdaResult:
     ``TWO_ACTION_EXACT_LIMIT`` and the geometric midpoint beyond.
     """
     checks.instance(n, k, delta)
+    _charge(n, k)
     return _dispatch(n, k, delta)
 
 
@@ -150,8 +155,23 @@ def _asymptotic(n, k, delta) -> float:
     return (1.0 - delta) / math.sqrt(math.pi * n * delta * (1.0 - 0.5 * delta))
 
 
+def _float_range(count, name) -> None:
+    """Refuse a count past the float range, which the closed forms cannot convert."""
+    if count > sys.float_info.max:
+        raise ValueError(f"{name} must be at most {sys.float_info.max!r}, got {checks._shown(count)}")
+
+
+def _charge(n, k) -> None:
+    """Refuse n by the trials of the first Binomial pmf :func:`_dispatch` builds, and k
+    past the float range, which no budget covers, before either meets a float."""
+    integer_pmf.charge_trials(n - 2 if k >= 3 else (n + 1) // 2 - 1)
+    _float_range(k, "action count")
+
+
 def _multi_action(n, k, delta) -> float:
-    return (1.0 - delta) * rw.passage_prob(n - 2, 2.0 * delta / k)
+    # A rate that underflows to 0.0 is a walk that never moves: it stays at 0, in {0, 1}.
+    rate = 2.0 * delta / k
+    return (1.0 - delta) * (rw.passage_prob(n - 2, rate) if rate else 1.0)
 
 
 def _two_action(n, delta) -> float:
@@ -174,7 +194,7 @@ def _runs_split_scan(n, k) -> bool:
 
 
 def _dispatch(n, k, delta) -> LambdaResult:
-    """:func:`lipschitz_constant` without its argument check."""
+    """:func:`lipschitz_constant` without its argument check and charge."""
     estimate = _asymptotic(n, k, delta)
     if k >= 3:
         value = _multi_action(n, k, delta)
@@ -235,6 +255,7 @@ def delta_fixed_point(n: int, k: int) -> FixedPoint:
     """
     checks.count(n, "player count", 2)
     checks.count(k, "action count", 2)
+    _charge(n, k)
     tol = FIXED_POINT_TOL
     lo, hi = 1e-9, 1.0 - 1e-9
     start = _estimate_fixed_point(n, k, lo, hi)

@@ -135,7 +135,7 @@ def perturbed_action_law(j: int, k: int, delta: float) -> np.ndarray:
     return _action_laws([j], k, delta)[:, 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CountDistribution:
     """Law of an occupancy vector: probabilities over k-part compositions of m.
 

@@ -104,11 +104,7 @@ def unit_shift_tv(probs, shift: int = 0, signs=None) -> float:
     """
     dist = pb_pmf(probs, shift, signs)
     by_peak = float(dist.probs.max())
-    padded = np.zeros(dist.probs.size + 1)
-    shifted = np.zeros(dist.probs.size + 1)
-    padded[:-1] = dist.probs
-    shifted[1:] = dist.probs
-    by_l1 = 0.5 * float(np.abs(padded - shifted).sum())
+    by_l1 = 0.5 * float(np.abs(np.diff(dist.probs, prepend=0.0, append=0.0)).sum())
     if abs(by_peak - by_l1) > DUAL_ROUTE_TOL:
         raise IntegrityError(
             f"shift-TV routes disagree: peak {by_peak!r} vs half-L1 {by_l1!r}"

@@ -680,3 +680,46 @@ def test_main_reads_sys_argv_when_given_no_arguments(capsys, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         main()
     assert exc.value.code == 2
+
+
+HUGE = str(10**400)
+
+
+@pytest.mark.parametrize(
+    "argv,code,error",
+    [
+        (("lambda", "--n", HUGE, "--k", "3", "--delta", "0.5"), 2, "BudgetExceededError: binomial pmf needs over 2**1328 trials"),
+        (("lambda", "--n", HUGE, "--k", "2", "--delta", "0.5"), 2, "BudgetExceededError: binomial pmf needs over 2**1327 trials"),
+        (("lambda", "--n", HUGE + "1", "--k", "2", "--delta", "0.5"), 2, "BudgetExceededError: binomial pmf needs"),
+        (("lambda", "--n", HUGE, "--k", "4", "--delta", "5e-324"), 2, "BudgetExceededError: binomial pmf needs"),
+        (("delta-star", "--n", HUGE, "--k", "3"), 2, "BudgetExceededError: binomial pmf needs over 2**1328 trials"),
+        (("delta-star", "--n", HUGE, "--k", "2"), 2, "BudgetExceededError: binomial pmf needs over 2**1327 trials"),
+        (("lambda", "--n", "10", "--k", HUGE, "--delta", "0.5"), 1, "ValueError: action count must be at most"),
+        (("sweep", "--n-start", "10", "--n-stop", "12", "--k", HUGE, "--delta", "0.5"), 1,
+         "ValueError: action count must be at most"),
+        (("delta-star", "--n", "10", "--k", HUGE), 1, "ValueError: action count must be at most"),
+        (("sweep", "--n-start", HUGE, "--n-stop", HUGE, "--k", "3", "--delta", "0.5"), 2,
+         "BudgetExceededError: sweep needs"),
+        (("coupling", "--n", HUGE, "--k", "3", "--delta", "0.5"), 2, "BudgetExceededError: coupling needs"),
+    ],
+    ids=["lambda-n-k3", "lambda-n-k2", "lambda-odd-n-k2", "lambda-n-subnormal", "delta-star-n-k3",
+         "delta-star-n-k2", "lambda-k", "sweep-k", "delta-star-k", "sweep-n", "coupling-n"],
+)
+def test_counts_past_the_float_range_are_one_line_errors(capsys, argv, code, error):
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith("error: " + error)
+    assert err.count("\n") == 1
+
+
+def test_huge_player_count_meets_the_same_budget_as_a_billion(capsys):
+    for k, delta in (("3", "0.5"), ("2", "0.5"), ("4", "5e-324")):
+        for argv in (("lambda", "--k", k, "--delta", delta), ("delta-star", "--k", k)):
+            codes = {run_cli(capsys, *argv, "--n", n)[0] for n in ("1000000000", HUGE)}
+            assert codes == {2}, argv
+
+
+def test_subnormal_delta_is_evaluated(capsys):
+    code, out, err = run_cli(capsys, "lambda", "--n", "10", "--k", "4", "--delta", "5e-324")
+    assert (code, err) == (0, "")
+    assert parse_kv(out)["lambda"] == "1"

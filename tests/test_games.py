@@ -4,6 +4,7 @@ import inspect
 import itertools
 import json
 import os
+import random
 import tracemalloc
 
 import numpy as np
@@ -99,6 +100,18 @@ def test_party_game_examples():
     mixed = party_game(2, ["even", "odd"])
     for profile in itertools.product((0, 1), repeat=2):
         assert regret(mixed, profile, 0.0).max_regret >= 0.5
+
+
+def test_party_game_table_matches_its_per_player_definition():
+    rng = random.Random(5)
+    for n in range(2, 40):
+        prefs = [rng.choice(("even", "odd")) for _ in range(n)]
+        expected = np.zeros((n, 2, n))
+        for i, pref in enumerate(prefs):
+            # Own action 0 attends: paid 1 when the attendance, self included, has the wanted parity.
+            expected[i, 0, :] = [float((r + 1) % 2 == (pref == "odd")) for r in range(n)]
+            expected[i, 1, :] = 0.5
+        assert party_game(n, prefs).payoffs.tobytes() == expected.tobytes()
 
 
 def test_three_player_party_has_no_near_equilibrium():

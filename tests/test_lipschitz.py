@@ -5,8 +5,9 @@ import sys
 import pytest
 
 import lipgames.lipschitz as lipschitz_module
-from lipgames import checks, poisson_binomial
+from lipgames import checks, integer_pmf, poisson_binomial
 from lipgames import (
+    BudgetExceededError,
     IntegrityError,
     LambdaResult,
     asymptotic_estimate,
@@ -396,3 +397,62 @@ def test_public_routes_keep_their_checks(call):
                             (0, 0.5, "player count"), (4, 0.0, "delta"), (3, float("nan"), "delta")):
         with pytest.raises(ValueError, match=match):
             call(n, delta)
+
+
+HUGE = 10**400
+ENTRY_POINTS = {
+    "lipschitz_constant": lambda n, k: lipschitz_constant(n, k, 0.5),
+    "lipschitz_multi_action": lambda n, k: lipschitz_multi_action(n, max(k, 3), 0.5),
+    "asymptotic_estimate": lambda n, k: asymptotic_estimate(n, k, 0.5),
+    "delta_fixed_point": delta_fixed_point,
+}
+
+
+#: 2**1024 - 2**970 has 1024 bits yet rounds past the largest float.
+PAST_FLOATS = [(HUGE, 2), (HUGE + 1, 2), (HUGE, 3), (10, HUGE), (HUGE, HUGE), (10, 2**1024 - 2**970)]
+
+
+@pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS.keys())
+@pytest.mark.parametrize("n,k", PAST_FLOATS, ids=[f"{n.bit_length()}-{k.bit_length()}-bits" for n, k in PAST_FLOATS])
+def test_counts_past_the_float_range_raise_no_overflow(call, n, k):
+    # An OverflowError is no ValueError, so this also asserts that none escapes.
+    with pytest.raises(ValueError, match="count must be at most|binomial pmf needs"):
+        call(n, k)
+
+
+def test_action_count_at_the_float_limit_is_evaluated():
+    top = int(sys.float_info.max)
+    assert lipschitz_constant(10, top, 0.5).value == 0.5
+    assert asymptotic_estimate(10, top, 0.5) > 0.0
+    with pytest.raises(ValueError, match="action count must be at most"):
+        lipschitz_constant(10, top + 1, 0.5)
+
+
+@pytest.mark.parametrize("k", (3, 4, 7, 10**6))
+def test_subnormal_delta_gives_one(k):
+    assert lipschitz_constant(10, k, 5e-324).value == 1.0
+    assert lipschitz_multi_action(10, k, 5e-324).value == 1.0
+
+
+
+def _refusal(call):
+    """The message of the budget refusal ``call()`` raises, or None."""
+    try:
+        call()
+    except BudgetExceededError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("k", (2, 3))
+def test_early_charge_is_the_routes_own(monkeypatch, k):
+    # Under a budget of 100 trials, the checked call refuses exactly the player
+    # counts its unchecked route refuses, with the same message.
+    monkeypatch.setattr(integer_pmf, "MAX_TRIALS", 100)
+    refused = []
+    for n in range(90, 215):
+        route = _refusal(lambda: lipschitz_module._dispatch(n, k, 0.3))
+        assert _refusal(lambda: lipschitz_constant(n, k, 0.3)) == route
+        refused.append(route is not None)
+    first = 103 if k >= 3 else 203
+    assert refused == [n >= first for n in range(90, 215)]
