@@ -32,7 +32,6 @@ from . import coupling as cp
 from . import games as gm
 from . import lipschitz as lz
 from . import oracle as orc
-from . import random_walk as rw
 from .errors import BudgetExceededError, IntegrityError
 
 VERIFY_DELTAS = (0.1, 0.25, 0.5, 0.75, 0.9)
@@ -46,6 +45,9 @@ SWEEP_COLUMNS = ("n", "k", "delta", "lambda", "lower", "upper", "asymptotic", "r
 #: (CLI runs on a 2-core host: k = 3 at n = 2..14142 12-23, k = 2 at
 #: n = 2..256 with 19 deltas 19-27, k = 3 at n = 1e5..2e6 44-47), so 6-24 s
 #: at the limit.  Below the floor, a row's fixed cost outweighs its steps.
+#: Those rates are of rows that summed all n + 1 Binomial entries; the
+#: closed forms sum an O(sqrt(n)) window, so at large n the charge of n
+#: steps over-counts a row's cost.
 MAX_SWEEP_STEPS = 5 * 10**8
 _MIN_ROW_STEPS = 1 << 12
 _JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)
@@ -123,7 +125,7 @@ def cmd_lambda(ns) -> tuple[int, str]:
 
 def _row_steps(n: int, k: int) -> int:
     """Walk steps charged to one sweep row: ``n**2`` when it runs the O(n^2)
-    split scan, ``n`` for the O(n) closed forms, and never below the floor."""
+    split scan, ``n`` for the closed forms, and never below the floor."""
     return max(n * n if lz._runs_split_scan(n, k) else n, _MIN_ROW_STEPS)
 
 
@@ -151,8 +153,11 @@ def cmd_sweep(ns) -> tuple[int, str]:
 
 
 def cmd_coupling(ns) -> tuple[int, str]:
+    # The simulation's own checks refuse a bad request first; the exact value
+    # then comes before the simulation, so it cannot fail after the run.
+    cp._check_params(ns.n, ns.k, ns.delta, ns.samples, ns.seed)
+    exact = lz._passage(ns.n, ns.k, ns.delta)
     est = cp.simulate_coupling(ns.n, ns.k, ns.delta, ns.samples, ns.seed)
-    exact = rw.passage_prob(ns.n, 2.0 * ns.delta / ns.k)
     diff = est.estimate - exact
     if est.std_error > 0.0:
         z = diff / est.std_error

@@ -6,8 +6,8 @@ k-action anonymous games once every action is delta-perturbed.  For three
 or more actions it equals ``(1 - delta)`` times a passage probability of a
 lazy walk.  For two actions it is ``(1 - delta)`` times the split Bernoulli
 maximum of :mod:`lipgames.poisson_binomial`; at even n that maximum is the
-chance that two i.i.d. Binomial(n/2 - 1, delta/2) draws coincide, an O(n)
-sum, and at odd n it is bracketed by the adjacent even values.
+chance that two i.i.d. Binomial(n/2 - 1, delta/2) draws coincide, an
+O(sqrt(n)) sum, and at odd n it is bracketed by the adjacent even values.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ METHOD_ORACLE = "oracle"
 
 #: Largest odd n for which the dispatcher runs the O(n^2) exact split
 #: maximum for two-action games; beyond it, odd n reports the bracket
-#: midpoint.  Even n always uses the O(n) collision formula.
+#: midpoint.  Even n always uses the O(sqrt(n)) collision formula.
 TWO_ACTION_EXACT_LIMIT = 256
 
 #: Residual ``|lambda - delta|`` at which :func:`delta_fixed_point` stops.
@@ -99,7 +99,7 @@ def lipschitz_two_action(n: int, delta: float) -> LambdaResult:
     The split scan costs O(n^2) and refuses n - 2 above
     :data:`~lipgames.poisson_binomial.SPLIT_SCAN_LIMIT`.
     :func:`lipschitz_constant` scans only at odd n; at even n it takes the
-    O(n) :func:`lipschitz_two_action_even`, which this scan cross-checks.
+    O(sqrt(n)) :func:`lipschitz_two_action_even`, which this scan cross-checks.
     """
     checks.instance(n, 2, delta)
     value = _two_action(n, delta)
@@ -112,7 +112,7 @@ def lipschitz_two_action_even(n: int, delta: float) -> float:
     ``(1 - delta) * P(two i.i.d. Binomial(n/2 - 1, delta/2) draws coincide)``,
     which equals the walk with rate ``delta*(1 - delta/2)`` sitting at 0
     after ``n/2 - 1`` steps; agrees with :func:`lipschitz_two_action`,
-    costs O(n), and is the route :func:`lipschitz_constant` takes at even n.
+    costs O(sqrt(n)), and is the route :func:`lipschitz_constant` takes at even n.
     """
     checks.instance(n, 2, delta)
     if n % 2:
@@ -137,7 +137,7 @@ def lipschitz_constant(n: int, k: int, delta: float) -> LambdaResult:
     """Worst-case Lipschitz constant, dispatching on the action count.
 
     k >= 3 always uses the exact walk formula.  For k = 2, every even n
-    uses the O(n) collision formula (``even-walk``); odd n carries the
+    uses the O(sqrt(n)) collision formula (``even-walk``); odd n carries the
     even-neighbour bracket, with the exact split maximum up to
     ``TWO_ACTION_EXACT_LIMIT`` and the geometric midpoint beyond.
     """
@@ -168,10 +168,17 @@ def _charge(n, k) -> None:
     _float_range(k, "action count")
 
 
-def _multi_action(n, k, delta) -> float:
-    # A rate that underflows to 0.0 is a walk that never moves: it stays at 0, in {0, 1}.
+def _passage(steps, k, delta) -> float:
+    """The walk passage probability at rate ``2 * delta / k``.
+
+    A rate that underflows to 0.0 is a walk that never moves: it stays at 0, in {0, 1}.
+    """
     rate = 2.0 * delta / k
-    return (1.0 - delta) * (rw.passage_prob(n - 2, rate) if rate else 1.0)
+    return rw.passage_prob(steps, rate) if rate else 1.0
+
+
+def _multi_action(n, k, delta) -> float:
+    return (1.0 - delta) * _passage(n - 2, k, delta)
 
 
 def _two_action(n, delta) -> float:

@@ -6,7 +6,7 @@ sequential convolutions.  The module also provides the two quantities that
 drive the two-action Lipschitz analysis: the largest point probability of a
 split Bernoulli sum (:func:`two_block_max_prob`, an O(n^2) scan of the
 points next to each split's mean) and the probability that two i.i.d.
-binomials coincide (:func:`binomial_collision_prob`, an O(n) sum).
+binomials coincide (:func:`binomial_collision_prob`, an O(sqrt(n)) sum).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import checks
 from .errors import IntegrityError
-from .integer_pmf import IntegerPmf, binomial_probs
+from .integer_pmf import IntegerPmf, binomial_window
 
 #: Tolerance for agreement between redundant computations of the same value.
 DUAL_ROUTE_TOL = 1e-12
@@ -206,7 +206,8 @@ def two_block_max_prob(n: int, delta: float) -> TwoBlockMax:
 def binomial_collision_prob(n: int, delta: float) -> float:
     """Probability that two independent Binomial(n, delta/2) draws coincide.
 
-    Equals the sum of squared binomial point probabilities, an O(n) sum, and
+    Equals the sum of squared binomial point probabilities, summed over the
+    O(sqrt(n)) window of :func:`~lipgames.integer_pmf.binomial_window`, and
     also the probability that a lazy walk with rate ``delta * (1 - delta/2)``
     sits at the origin after ``n`` steps; the walk identity is exercised in
     tests.  Counts above :data:`~lipgames.integer_pmf.MAX_TRIALS` raise
@@ -214,5 +215,5 @@ def binomial_collision_prob(n: int, delta: float) -> float:
     """
     checks.count(n, "term count")
     checks.delta(delta)
-    pmf = binomial_probs(n, 0.5 * delta)
-    return float(np.dot(pmf, pmf))
+    _, pmf = binomial_window(n, 0.5 * delta)
+    return float((pmf * pmf).sum())

@@ -7,9 +7,9 @@ slow routes the library replaced, kept as cross-checks at sizes enumeration
 cannot reach: :func:`split_scan`, the O(n^3) convolution scan behind the
 split maximum, :func:`bisect_fixed_point`, the plain bisection behind
 ``delta_fixed_point``, :func:`passage_prob_by_parity`, the full-length
-parity product behind ``passage_prob``,
-:func:`binomial_probs_by_concatenation`, the two-run pmf behind
-``binomial_probs``, :func:`scan_eps_nash`, the
+parity product the windowed ``passage_prob`` replaced, :func:`binomial_probs`, the
+full-support pmf whose window ``integer_pmf.binomial_window`` keeps,
+:func:`scan_eps_nash`, the
 per-profile equilibrium scan behind ``find_eps_nash``, and
 :func:`depth_maps_by_rank`, the per-cell rank loop behind the oracle's index.
 """
@@ -30,7 +30,6 @@ from lipgames import (
     count_vectors,
     lipschitz_constant,
 )
-from lipgames.integer_pmf import binomial_probs
 from lipgames.poisson_binomial import TIE_TOL
 
 
@@ -145,23 +144,29 @@ def passage_prob_by_parity(n, r):
     return float(np.dot(moves, in_01))
 
 
-def binomial_probs_by_concatenation(m, p):
-    """Binomial(m, p) pmf from two ratio runs out of the mode, concatenated.
+def binomial_products(m, p):
+    """Binomial(m, p) pmf at 0..m up to a factor: 1 at the mode, two ratio runs out of it.
 
     The downward ratio is written as ``i / (odds * (m - i + 1))``; the
-    library divides the same two exactly held factors.
+    library divides the same two exactly held factors, so its window holds
+    these entries bit for bit.  ``p`` is neither 0 nor 1.
     """
-    if p == 0.0 or p == 1.0:
-        probs = np.zeros(m + 1)
-        probs[m if p == 1.0 else 0] = 1.0
-        return probs
     odds = p / (1.0 - p)
     mode = min(int((m + 1) * p), m)
     i = np.arange(m + 1, dtype=np.float64)
     up = np.cumprod(odds * (m - i[mode:m]) / (i[mode:m] + 1.0))
     down = np.cumprod(i[mode:0:-1] / (odds * (m - i[mode:0:-1] + 1.0)))
-    probs = np.concatenate((down[::-1], [1.0], up))
-    return probs / probs.sum()
+    return np.concatenate((down[::-1], [1.0], up))
+
+
+def binomial_probs(m, p):
+    """Binomial(m, p) point probabilities at 0..m: :func:`binomial_products` over their sum."""
+    if p == 0.0 or p == 1.0:
+        probs = np.zeros(m + 1)
+        probs[m if p == 1.0 else 0] = 1.0
+        return probs
+    products = binomial_products(m, p)
+    return products / products.sum()
 
 
 def bisect_fixed_point(n, k, tol):

@@ -723,3 +723,20 @@ def test_subnormal_delta_is_evaluated(capsys):
     code, out, err = run_cli(capsys, "lambda", "--n", "10", "--k", "4", "--delta", "5e-324")
     assert (code, err) == (0, "")
     assert parse_kv(out)["lambda"] == "1"
+
+
+def test_coupling_with_a_subnormal_delta_reports_exact_one(capsys):
+    # the rate 2 * delta / k underflows to 0.0, a walk that never moves
+    argv = ("coupling", "--n", "10", "--k", "4", "--delta", "5e-324", "--samples", "100")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert parse_kv(out)["exact"] == "1"
+
+
+def test_coupling_computes_its_exact_value_before_the_simulation(capsys, monkeypatch):
+    calls = []
+    passage, simulate = lipgames.cli.lz._passage, lipgames.cli.cp.simulate_coupling
+    monkeypatch.setattr(lipgames.cli.lz, "_passage", lambda *a: calls.append("exact") or passage(*a))
+    monkeypatch.setattr(lipgames.cli.cp, "simulate_coupling", lambda *a: calls.append("simulate") or simulate(*a))
+    code, _, err = run_cli(capsys, "coupling", "--n", "10", "--k", "3", "--delta", "0.3", "--samples", "100")
+    assert (code, err, calls) == (0, "", ["exact", "simulate"])

@@ -54,40 +54,29 @@ def test_passage_examples():
     assert passage_prob(1, 1 / 3) == pytest.approx(5 / 6, abs=1e-15)
 
 
-def _reset_parity_table(monkeypatch):
-    monkeypatch.setattr(random_walk, "_in_01", random_walk._parity_table(1))
-
-
-def test_passage_does_not_depend_on_call_order(monkeypatch):
+def test_passage_does_not_depend_on_call_order():
     cases = [(n, r) for n in (0, 1, 2, 3, 7, 64, 65, 300, 1000, 4097, 20000) for r in (0.05, 0.37, 1.0)]
-    expected = {case: brute.passage_prob_by_parity(*case) for case in cases}
+    expected = {case: passage_prob(*case) for case in cases}
     for order in (sorted(cases), sorted(cases, reverse=True), random.Random(5).sample(cases, len(cases))):
-        _reset_parity_table(monkeypatch)
         # every value is positive, so equal floats are equal bits
         assert {case: passage_prob(*case) for case in order} == expected
-    assert not random_walk._in_01.flags.writeable
 
 
-def test_ascending_run_rebuilds_the_parity_table_log_n_times(monkeypatch):
-    _reset_parity_table(monkeypatch)
-    builds = []
-    build = random_walk._parity_table
-    monkeypatch.setattr(random_walk, "_parity_table", lambda size: builds.append(size) or build(size))
-    for n in range(1000):
+def test_no_call_builds_or_replaces_the_parity_table(monkeypatch):
+    table = random_walk._PARITY
+    monkeypatch.setattr(random_walk, "_parity_table", None)  # a call that built one would fail
+    for n in [*range(1000), 2**14 - 1, 2**14, 10**6]:
         passage_prob(n, 0.3)
-    assert builds == [2**i for i in range(1, 11)]
+    assert random_walk._PARITY is table and not table.flags.writeable
 
 
-def test_parity_table_holds_at_most_the_trial_budget(monkeypatch):
+def test_refusal_follows_the_trial_budget_and_leaves_the_table(monkeypatch):
     monkeypatch.setattr(integer_pmf, "MAX_TRIALS", 100)
-    _reset_parity_table(monkeypatch)
-    for n in range(101):
-        assert passage_prob(n, 0.3) == brute.passage_prob_by_parity(n, 0.3)
-        assert random_walk._in_01.size <= 101
-    assert random_walk._in_01.size == 101
+    table = random_walk._PARITY
+    assert passage_prob(100, 0.3) == pytest.approx(brute.passage_prob_by_parity(100, 0.3), rel=1e-15)
     with pytest.raises(BudgetExceededError, match="binomial pmf needs 101 trials"):
         passage_prob(101, 0.3)
-    assert random_walk._in_01.size == 101
+    assert random_walk._PARITY is table
 
 
 def test_stay_below_examples():

@@ -1,13 +1,14 @@
-"""The fast exact routes against 30-digit references and the slow routes.
+"""The fast exact routes against 30- and 40-digit references and the slow routes.
 
-``passage_prob`` and ``binomial_collision_prob`` are O(n) sums built on
-``binomial_probs``, and ``two_block_max_prob`` is an O(n^2) scan of the
-points next to each split's mean; here they are held to a stated relative
-error bound against mpmath evaluations of the same definitions,
-``passage_prob`` is tied to the independent ``walk_pmf`` dynamic program and
-bit for bit to the full-length parity product it replaced,
-``binomial_probs`` bit for bit to the concatenated ratio runs it replaced,
-and the split scan to the O(n^3) convolution scan it replaced.
+``passage_prob`` and ``binomial_collision_prob`` are O(sqrt(n)) sums over
+the window of ``binomial_window``, and ``two_block_max_prob`` is an O(n^2)
+scan of the points next to each split's mean; here they are held to a
+stated relative error bound against mpmath evaluations of the same
+definitions, up to ``MAX_TRIALS``, ``passage_prob`` is tied to the
+independent ``walk_pmf`` dynamic program, the window's entries bit for bit to
+the full-support ratio runs of ``brute.binomial_products`` and both sums to
+their full-support versions, and the split scan to the O(n^3) convolution
+scan it replaced.
 """
 
 import functools
@@ -25,7 +26,8 @@ from lipgames import (
     two_block_max_prob,
     walk_pmf,
 )
-from lipgames.integer_pmf import MAX_TRIALS, binomial_probs
+from lipgames import integer_pmf
+from lipgames.integer_pmf import MAX_TRIALS, binomial_window
 
 import brute
 
@@ -38,6 +40,17 @@ REL_BOUND = 1e-13
 #: in m, measured at 1.12 / 1.15e-13 (m = 2047) and 2.26 / 2.29e-13
 #: (m = 4095) at deltas 0.37 / 0.61.
 SCAN_RANGE_REL_BOUND = 3e-13
+#: Largest relative error accepted against the 40-digit references from
+#: 2**14 to ``MAX_TRIALS`` trials; the largest measured is 6.9e-16
+#: (collision, m = 10**7, delta = 0.9).
+LARGE_REL_BOUND = 1e-15
+#: Largest relative error accepted for one parity factor; the largest
+#: measured is 3.3e-16 (the series at i = 66, its first omitted term).
+PARITY_REL_BOUND = 4.5e-16
+#: Largest relative gap accepted between a windowed sum and the same sum
+#: over the full support; they differ by the dropped tails, under 2e-26,
+#: and the summation order: 9.7e-16 at most measured.
+FULL_SUPPORT_REL_TOL = 2e-15
 #: Largest absolute gap accepted between the closed form and the walk DP.
 DP_TOL = 1e-12
 
@@ -81,6 +94,64 @@ def collision_reference(m, delta):
             term *= odds * (m - i) / (i + 1)
             total += term * term
         return total
+
+
+def _window_reference(m, p):
+    """``(lo, terms)``: Binomial(m, p) at 40 digits over ``[mode - W, mode + W]``.
+
+    ``W = ceil(15 sigma) + 60`` is wider than the library's window.  The
+    mode's term is anchored by ``loggamma``, and the others follow by the
+    ratio recursion outward.  Call within ``workdps(40)``.
+    """
+    p = mpmath.mpf(p)
+    odds = p / (1 - p)
+    mode = min(int(mpmath.floor((m + 1) * p)), m)
+    w = math.ceil(15 * math.sqrt(m * float(p * (1 - p)))) + 60
+    lo, hi = max(0, mode - w), min(m, mode + w)
+    anchor = mpmath.exp(mpmath.loggamma(m + 1) - mpmath.loggamma(mode + 1) - mpmath.loggamma(m - mode + 1)
+                        + mode * mpmath.log(p) + (m - mode) * mpmath.log(1 - p))
+    up = [anchor]
+    for j in range(mode, hi):
+        up.append(up[-1] * odds * (m - j) / (j + 1))
+    down = [anchor]
+    for j in range(mode - 1, lo - 1, -1):
+        down.append(down[-1] * (j + 1) / (odds * (m - j)))
+    return lo, down[:0:-1] + up
+
+
+def _central_reference(i):
+    """C(2i, i) / 4**i by ``loggamma``; call within ``workdps(40)``."""
+    return mpmath.exp(mpmath.loggamma(2 * i + 1) - 2 * mpmath.loggamma(i + 1) - 2 * i * mpmath.log(2))
+
+
+@functools.lru_cache(maxsize=None)
+def large_passage_reference(m, r):
+    """sum_j Bin(m, r)(j) * C(j, floor(j/2)) / 2^j at 40 digits over a wide window.
+
+    The factor for j is C(2i, i) / 4**i with i = ceil(j/2), anchored at the
+    window's first i and stepped by (2i + 1) / (2i + 2).
+    """
+    with mpmath.workdps(40):
+        if r == 1.0:
+            return _central_reference((m + 1) // 2)
+        lo, terms = _window_reference(m, r)
+        i = (lo + 1) // 2
+        in_01 = _central_reference(i)
+        total = mpmath.mpf(0)
+        for j, term in enumerate(terms, lo):
+            if (j + 1) // 2 > i:
+                in_01 *= mpmath.mpf(2 * i + 1) / (2 * i + 2)
+                i += 1
+            total += term * in_01
+        return total
+
+
+@functools.lru_cache(maxsize=None)
+def large_collision_reference(m, delta):
+    """sum_i Bin(m, delta/2)(i)^2 at 40 digits over a wide window."""
+    with mpmath.workdps(40):
+        _, terms = _window_reference(m, mpmath.mpf(delta) / 2)
+        return mpmath.fsum(term * term for term in terms)
 
 
 def _split_point(l, r, t, q):
@@ -201,18 +272,57 @@ def test_passage_matches_walk_dp(r):
         assert abs(passage_prob(n, r) - (pmf.prob(0) + pmf.prob(1))) <= DP_TOL
 
 
+@pytest.mark.parametrize("m", (2**14, 10**5, 10**6, 10**7 - 2))
+@pytest.mark.parametrize("r", (0.0125, 0.2, 0.6, 1.0))
+def test_passage_within_bound_of_40_digit_reference(m, r):
+    ref = large_passage_reference(m, r)
+    assert abs(passage_prob(m, r) - ref) <= LARGE_REL_BOUND * ref
+
+
+@pytest.mark.parametrize("m", (10**5, 10**6, 10**7))
+@pytest.mark.parametrize("delta", (0.05, 0.3, 0.9))
+def test_collision_within_bound_of_40_digit_reference(m, delta):
+    ref = large_collision_reference(m, delta)
+    assert abs(binomial_collision_prob(m, delta) - ref) <= LARGE_REL_BOUND * ref
+
+
+@pytest.mark.parametrize("j", (127, 128, 2**14 - 1, 2**14, 10**5, 10**7))
+def test_parity_factor_within_bound_of_40_digit_reference(j):
+    # 127 is the last exact entry, 128 the first series entry of the table,
+    # 2**14 the first computed past the table
+    with mpmath.workdps(40):
+        ref = mpmath.binomial(j, j // 2) / mpmath.mpf(2) ** j
+        assert abs(random_walk._parity(j, 1)[0] - ref) <= PARITY_REL_BOUND * ref
+
+
+def test_parity_table_is_exact_below_128_moves():
+    table = random_walk._PARITY
+    assert table.size == 2**14 and not table.flags.writeable
+    assert table[:128].tolist() == [math.comb(j, j // 2) / 2**j for j in range(128)]
+    # past the table the series is evaluated on the window alone
+    assert random_walk._parity(2**14 - 2, 4).tolist() == [*table[-2:], *random_walk._parity_series(2**14, 2**14 + 2)]
+
+
 @pytest.mark.parametrize("r", (0.0125, 0.1, 0.2, 0.37, 0.5, 0.63, 0.9, 1.0))
-def test_passage_equals_the_parity_product_bit_for_bit(r):
-    # the half-length product holds the same correctly rounded ratios in the
-    # same order, and the parity product's 1.0s multiply exactly
+def test_passage_equals_the_full_support_sum(r):
+    # the window's entries are the full support's (tested bit for bit below),
+    # so only the dropped tails and the order of the sums differ
     for n in [*range(0, 300), 999, 1000, 2001, 4040, 16384, 10**6]:
-        assert passage_prob(n, r) == brute.passage_prob_by_parity(n, r), n
+        full = float((brute.binomial_probs(n, r) * random_walk._parity(0, n + 1)).sum())
+        assert abs(passage_prob(n, r) - full) <= FULL_SUPPORT_REL_TOL * full, n
+
+
+@pytest.mark.parametrize("delta", (0.01, 0.1, 0.3, 0.5, 0.9, 0.99))
+def test_collision_equals_the_full_support_sum(delta):
+    for m in [*range(0, 300), 999, 1000, 2001, 4040, 16384, 10**6]:
+        probs = brute.binomial_probs(m, 0.5 * delta)
+        full = float((probs * probs).sum())
+        assert abs(binomial_collision_prob(m, delta) - full) <= FULL_SUPPORT_REL_TOL * full, m
 
 
 @pytest.mark.parametrize("route", (passage_prob, binomial_collision_prob), ids=("passage", "collision"))
 def test_closed_forms_refuse_one_trial_over_budget_before_allocating(route):
-    # at MAX_TRIALS + 1 a single float array of the trial count is 80 MB
-    table = random_walk._in_01
+    table = random_walk._PARITY
     tracemalloc.start()
     try:
         with pytest.raises(BudgetExceededError, match="binomial pmf needs 10000001 trials"):
@@ -221,24 +331,77 @@ def test_closed_forms_refuse_one_trial_over_budget_before_allocating(route):
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    # the walk's shared parity table is not grown before the refusal
-    assert random_walk._in_01 is table
+    assert random_walk._PARITY is table
 
 
-@pytest.mark.parametrize("p", (0.0, 1e-9, 0.0125, 0.27, 0.5, 0.63, 1 - 1e-9, 1.0))
-def test_binomial_probs_equals_the_concatenated_runs_bit_for_bit(p):
-    # mode 0 (p = 1e-9) leaves the downward run empty, mode m (p = 1 - 1e-9)
-    # the upward one
-    for m in [*range(0, 301), 999, 1000, 4040, 16384, 10**6]:
-        probs = binomial_probs(m, p)
-        assert probs.tobytes() == brute.binomial_probs_by_concatenation(m, p).tobytes(), m
+@pytest.mark.parametrize("route,arg,p", ((passage_prob, 0.5, 0.5), (binomial_collision_prob, 0.9, 0.45)),
+                         ids=("passage", "collision"))
+def test_closed_forms_peak_memory_is_linear_in_the_window(route, arg, p):
+    # the widest windows at the limit, r(1 - r) at or near its largest:
+    # 38,029 and 37,839 entries, where the full support would be 10**7
+    m = MAX_TRIALS - 2
+    size = binomial_window(m, p)[1].size
+    table = random_walk._PARITY
+    tracemalloc.start()
+    try:
+        route(m, arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 1024 + 40 * size
+    assert random_walk._PARITY is table
+
+
+#: The window grid: every m to 300, where the window covers the whole support
+#: up to m = 40 and drops tails from there, then larger m up to 10**6; the
+#: rates put the mode at 0 (1e-9) and at m (1 - 1e-9).
+WINDOW_TRIALS = [*range(0, 301), 999, 1000, 4040, 16384, 10**5, 10**6]
+WINDOW_RATES = (1e-9, 0.0125, 0.2, 0.27, 0.5, 0.63, 1 - 1e-9)
+
+
+@pytest.mark.parametrize("p", WINDOW_RATES)
+def test_window_equals_the_full_support_products_bit_for_bit(p):
+    for m in WINDOW_TRIALS:
+        lo, products = integer_pmf._mode_products(m, p)
+        full = brute.binomial_products(m, p)
+        assert 0 <= lo and lo + products.size <= m + 1, m
+        assert products.tobytes() == full[lo : lo + products.size].tobytes(), m
+
+
+@pytest.mark.parametrize("p", WINDOW_RATES)
+def test_window_drops_at_most_two_e_minus_sixty_of_the_mass(p):
+    for m in WINDOW_TRIALS:
+        lo, probs = binomial_window(m, p)
+        full = brute.binomial_probs(m, p)
+        outside = float(full[:lo].sum() + full[lo + probs.size :].sum())
+        assert outside <= 2.0 * math.exp(-60.0), m
+        assert probs.sum() == pytest.approx(1.0, rel=1e-15), m
+
+
+@pytest.mark.parametrize("p", (0.0, 1.0))
+def test_window_of_a_certain_count_is_one_entry(p):
+    for m in WINDOW_TRIALS:
+        lo, probs = binomial_window(m, p)
+        assert (lo, probs.tolist()) == (m if p else 0, [1.0])
 
 
 @pytest.mark.parametrize("p", (0.0, 0.05, 0.3, 0.5, 0.8, 1.0))
 def test_binomial_probs_exact_small(p):
+    # the full-support pmf the window tests compare against
     for m in range(0, 13):
-        probs = binomial_probs(m, p)
+        probs = brute.binomial_probs(m, p)
         assert probs.size == m + 1
+        for i in range(m + 1):
+            expected = math.comb(m, i) * p**i * (1 - p) ** (m - i)
+            assert probs[i] == pytest.approx(expected, rel=1e-14, abs=1e-300)
+
+
+@pytest.mark.parametrize("p", (0.05, 0.3, 0.5, 0.8))
+def test_binomial_window_exact_small(p):
+    # below 41 trials the window is the whole support
+    for m in range(0, 13):
+        lo, probs = binomial_window(m, p)
+        assert (lo, probs.size) == (0, m + 1)
         for i in range(m + 1):
             expected = math.comb(m, i) * p**i * (1 - p) ** (m - i)
             assert probs[i] == pytest.approx(expected, rel=1e-14, abs=1e-300)
