@@ -1,13 +1,18 @@
 """Argument checks shared by the package: one input policy, written once.
 
-A bool or a string is never a number: counts, indices and shifts are
-integers, every float check refuses a bool and is a comparison that NaN
-fails, and :func:`array` is the only code that turns an outside array into
-numbers.  Every refusal is a ``ValueError``.  Size limits are module
-constants, each refused by :func:`budget` before anything is allocated.
+A bool or a string is never a number.  A scalar check admits an int, float,
+numpy integer or numpy floating, the number rule :func:`array` applies to an
+entry, and returns the Python ``int`` or ``float`` it admits, so a numpy scalar
+is computed as the Python number it equals.  Counts, indices and shifts are
+integers, every float check is a comparison that NaN fails, and :func:`array`
+is the only code that turns an outside array into numbers.  Every refusal is
+a ``ValueError``.  Size limits are module constants, each refused by
+:func:`budget` before anything is allocated.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -60,25 +65,39 @@ def budget(need: int, limit: int, what: str, unit: str) -> None:
         raise BudgetExceededError(f"{what} needs {_shown(need)} {unit}, over the budget of {limit}")
 
 
-def delta(value, zero_ok: bool = False) -> None:
-    if isinstance(value, _BOOLS) or not (0.0 < value < 1.0 or zero_ok and value == 0.0):
+def _real(value) -> float:
+    """``value`` as a float by :func:`array`'s number rule, else NaN, which fails every float
+    check; a Python int past the float range is the infinity of its sign."""
+    if isinstance(value, bool) or not isinstance(value, _REALS):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def delta(value, zero_ok: bool = False) -> float:
+    if not (0.0 < (number := _real(value)) < 1.0 or zero_ok and number == 0.0):
         raise ValueError(f"delta must lie in {'[' if zero_ok else '('}0, 1), got {value!r}")
+    return number
 
 
-def rate(value) -> None:
-    if isinstance(value, _BOOLS) or not 0.0 < value <= 1.0:
+def rate(value) -> float:
+    if not 0.0 < (number := _real(value)) <= 1.0:
         raise ValueError(f"rate must lie in (0, 1], got {value!r}")
+    return number
 
 
-def instance(n, k, delta_) -> None:
-    count(n, "player count", 2)
-    count(k, "action count", 2)
-    delta(delta_)
+def instance(n, k, delta_) -> tuple[int, int, float]:
+    return count(n, "player count", 2), count(k, "action count", 2), delta(delta_)
 
 
-def bound(value, name: str) -> None:
-    if isinstance(value, _BOOLS) or not value >= 0.0:
+def bound(value, name: str) -> float:
+    if not (number := _real(value)) >= 0.0:
         raise ValueError(f"{name} must be nonnegative, got {value!r}")
+    if number == math.inf and isinstance(value, int):  # inf is admitted, an int past the float range is not
+        raise ValueError(f"{name} must lie within the float range, got {_shown(value)}")
+    return number
 
 
 def unit_interval(values: np.ndarray, name: str) -> None:

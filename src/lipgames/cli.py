@@ -132,9 +132,8 @@ def _row_steps(n: int, k: int) -> int:
 def _sweep_rows(ns):
     if ns.n_stop < ns.n_start or ns.n_step < 1:
         raise ValueError("sweep range is empty; need n-start <= n-stop and n-step >= 1")
-    for d in ns.delta:
-        checks.delta(d)
-    checks.instance(ns.n_start, ns.k, ns.delta[0])
+    ns.delta = [checks.delta(d) for d in ns.delta]
+    ns.n_start, ns.k, _ = checks.instance(ns.n_start, ns.k, ns.delta[0])
     rows = range(ns.n_start, ns.n_stop + 1, ns.n_step)
     small = range(ns.n_start, min(ns.n_stop + 1, _MIN_ROW_STEPS), ns.n_step)
     # The rows' n summed in closed form, plus the excess charge of the rows below
@@ -155,7 +154,7 @@ def cmd_sweep(ns) -> tuple[int, str]:
 def cmd_coupling(ns) -> tuple[int, str]:
     # The simulation's own checks refuse a bad request first; the exact value
     # then comes before the simulation, so it cannot fail after the run.
-    cp._check_params(ns.n, ns.k, ns.delta, ns.samples, ns.seed)
+    ns.n, ns.k, ns.delta, ns.samples, ns.seed = cp._check_params(ns.n, ns.k, ns.delta, ns.samples, ns.seed)
     exact = lz._passage(ns.n, ns.k, ns.delta)
     est = cp.simulate_coupling(ns.n, ns.k, ns.delta, ns.samples, ns.seed)
     diff = est.estimate - exact

@@ -92,11 +92,11 @@ def _check_params(n, k, delta, samples, seed):
     n = checks.count(n, "step count")
     k = checks.count(k, "action count", 2)
     checks.budget(k, MAX_ACTIONS, "the int32 action draw", "actions")
-    checks.delta(delta)
+    delta = checks.delta(delta)
     samples = checks.count(samples, "samples", 1)
     seed = checks.count(seed, "seed")
     checks.budget(max(samples, _MIN_CHARGED) * max(n, 1), MAX_REP_STEPS, "coupling", "replication steps")
-    return n, k, float(delta), samples, seed
+    return n, k, delta, samples, seed
 
 
 def _block_sizes(samples: int):

@@ -49,8 +49,8 @@ class AnonymousGame:
     payoffs: np.ndarray
 
     def __post_init__(self):
-        checks.count(self.n, "player count", 2)
-        checks.count(self.k, "action count", 2)
+        object.__setattr__(self, "n", checks.count(self.n, "player count", 2))
+        object.__setattr__(self, "k", checks.count(self.k, "action count", 2))
         classes = _classes(self.n - 1, self.k)
         checks.budget(self.n * self.k * classes, oracle.CELL_BUDGET, "payoff table", "cells")
         payoffs = checks.array(self.payoffs, "payoffs", 3)
@@ -117,8 +117,7 @@ def _values(game: AnonymousGame, player: int, law, delta: float) -> tuple[np.nda
 def perturbed_payoff(game: AnonymousGame, profile: Sequence[int], player: int, delta: float) -> float:
     """Exact expected payoff of ``player`` when every action is delta-perturbed."""
     profile = _check_profile(game, profile)
-    checks.delta(delta, zero_ok=True)
-    checks.index(player, game.n, "player")
+    delta, player = checks.delta(delta, zero_ok=True), checks.index(player, game.n, "player")
     law = _opponent_law(game, profile[:player] + profile[player + 1 :], delta)
     return float(_values(game, player, law, delta)[1][profile[player]])
 
@@ -135,8 +134,7 @@ def regret(game: AnonymousGame, profile: Sequence[int], delta: float) -> RegretR
     a convex combination of the pure ones.  Regrets are exactly nonnegative
     because staying put is always a candidate deviation.
     """
-    profile = _check_profile(game, profile)
-    checks.delta(delta, zero_ok=True)
+    profile, delta = _check_profile(game, profile), checks.delta(delta, zero_ok=True)
     return _regret(game, profile, delta)
 
 
@@ -187,8 +185,7 @@ def find_eps_nash(game: AnonymousGame, delta: float, eps: float) -> Optional[Sea
     holds a byte per payoff cell at most, and the payoff table's cells were
     charged when the game was built.
     """
-    checks.delta(delta, zero_ok=True)
-    checks.bound(eps, "eps")
+    delta, eps = checks.delta(delta, zero_ok=True), checks.bound(eps, "eps")
     n, k = game.n, game.k
     checks.budget(k**n, PROFILE_BUDGET, "equilibrium scan", "profiles")
     class_laws = None
@@ -228,7 +225,7 @@ def party_game(n: int, preferences: Sequence[str]) -> AnonymousGame:
     cells are charged against :data:`lipgames.oracle.CELL_BUDGET` before
     ``preferences`` is read.
     """
-    checks.count(n, "player count", 2)
+    n = checks.count(n, "player count", 2)
     checks.budget(2 * n * n, oracle.CELL_BUDGET, "party game", "cells")
     preferences = list(preferences)
     if len(preferences) != n:
@@ -312,8 +309,10 @@ def load_game(path) -> AnonymousGame:
         while piece := handle.read(min(limit + 1 - len(data), 1 << 20)):
             data += piece
     checks.budget(len(data), limit, "game file", "bytes")
+    # Rebinding data frees the bytes before json.loads builds the document, and the text once it returns.
+    data = data.decode("utf-8")
     try:
-        document = json.loads(data.decode("utf-8"))
+        data = json.loads(data)
     except RecursionError:
         raise ValueError("game document is nested too deeply") from None
-    return parse_game(document)
+    return parse_game(data)

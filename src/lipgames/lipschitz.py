@@ -72,9 +72,8 @@ def asymptotic_estimate(n: int, k: int, delta: float) -> float:
     The exact constant divided by this estimate tends to 1 as
     ``n * delta / k`` grows.
     """
-    checks.count(n, "player count", 1)
-    checks.count(k, "action count", 2)
-    checks.delta(delta)
+    n, k = checks.count(n, "player count", 1), checks.count(k, "action count", 2)
+    delta = checks.delta(delta)
     _float_range(n, "player count")
     _float_range(k, "action count")
     return _asymptotic(n, k, delta)
@@ -85,7 +84,7 @@ def lipschitz_multi_action(n: int, k: int, delta: float) -> LambdaResult:
 
     ``(1 - delta) * P(walk with rate 2*delta/k is in {0, 1} after n - 2 steps)``.
     """
-    checks.instance(n, k, delta)
+    n, k, delta = checks.instance(n, k, delta)
     if k < 3:
         raise ValueError("k must be at least 3; use the two-action routines for k = 2")
     _charge(n, k)
@@ -101,7 +100,7 @@ def lipschitz_two_action(n: int, delta: float) -> LambdaResult:
     :func:`lipschitz_constant` scans only at odd n; at even n it takes the
     O(sqrt(n)) :func:`lipschitz_two_action_even`, which this scan cross-checks.
     """
-    checks.instance(n, 2, delta)
+    n, _, delta = checks.instance(n, 2, delta)
     value = _two_action(n, delta)
     return LambdaResult(value, value, value, METHOD_TWO_BLOCK, _asymptotic(n, 2, delta))
 
@@ -114,7 +113,7 @@ def lipschitz_two_action_even(n: int, delta: float) -> float:
     after ``n/2 - 1`` steps; agrees with :func:`lipschitz_two_action`,
     costs O(sqrt(n)), and is the route :func:`lipschitz_constant` takes at even n.
     """
-    checks.instance(n, 2, delta)
+    n, _, delta = checks.instance(n, 2, delta)
     if n % 2:
         raise ValueError(f"player count must be even, got {n}")
     return _two_action_even(n, delta)
@@ -127,7 +126,7 @@ def two_action_odd_bracket(n: int, delta: float) -> tuple[float, float]:
     geometric mean of the constants at n - 1 and n + 1 players.  The exact
     value always lies inside.
     """
-    checks.instance(n, 2, delta)
+    n, _, delta = checks.instance(n, 2, delta)
     if n % 2 == 0:
         raise ValueError(f"player count must be odd, got {n}")
     return _odd_bracket(n, delta)
@@ -141,7 +140,7 @@ def lipschitz_constant(n: int, k: int, delta: float) -> LambdaResult:
     even-neighbour bracket, with the exact split maximum up to
     ``TWO_ACTION_EXACT_LIMIT`` and the geometric midpoint beyond.
     """
-    checks.instance(n, k, delta)
+    n, k, delta = checks.instance(n, k, delta)
     _charge(n, k)
     return _dispatch(n, k, delta)
 
@@ -260,8 +259,7 @@ def delta_fixed_point(n: int, k: int) -> FixedPoint:
     the midpoint equals an end of the bracket, which then can shrink no
     further.
     """
-    checks.count(n, "player count", 2)
-    checks.count(k, "action count", 2)
+    n, k = checks.count(n, "player count", 2), checks.count(k, "action count", 2)
     _charge(n, k)
     tol = FIXED_POINT_TOL
     lo, hi = 1e-9, 1.0 - 1e-9

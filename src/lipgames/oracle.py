@@ -128,10 +128,9 @@ def perturbed_action_law(j: int, k: int, delta: float) -> np.ndarray:
     other action receives ``delta/k``.  Its k cells are charged against
     :data:`CELL_BUDGET`; the law is then the one column :func:`_action_laws` builds.
     """
-    checks.count(k, "action count", 2)
+    k = checks.count(k, "action count", 2)
     checks.budget(k, CELL_BUDGET, "action law", "cells")
-    checks.delta(delta)
-    checks.index(j, k)
+    delta, j = checks.delta(delta), checks.index(j, k)
     return _action_laws([j], k, delta)[:, 0]
 
 
@@ -152,8 +151,8 @@ class CountDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        checks.count(self.m, "total")
-        checks.count(self.k, "action count", 2)
+        object.__setattr__(self, "m", checks.count(self.m, "total"))
+        object.__setattr__(self, "k", checks.count(self.k, "action count", 2))
         probs = checks.array(self.probs, "probs")
         expected = _classes(self.m, self.k)
         if probs.shape != (expected,):
@@ -229,9 +228,9 @@ def _class_law(actions: Sequence[int], k: int, delta: float) -> np.ndarray:
 def count_distribution(profile: Sequence[int], k: int, delta: float) -> CountDistribution:
     """Law of the occupancy vector of a delta-perturbed pure profile: the arguments checked, then
     :func:`_class_law`, so permutations of the profile yield bit-identical probabilities."""
-    checks.count(k, "action count", 2)
+    k = checks.count(k, "action count", 2)
     actions = [checks.index(a, k, "profile action") for a in profile]
-    checks.delta(delta)
+    delta = checks.delta(delta)
     return CountDistribution(len(actions), k, _class_law(actions, k, delta))
 
 
@@ -247,8 +246,7 @@ def _shift_tv(probs: np.ndarray, m: int, k: int, j1: int, j2: int) -> np.ndarray
 def shifted_tv(dist: CountDistribution, j1: int, j2: int) -> float:
     """TV distance between the occupancy law plus one extra player on j1 vs on j2; the ``k * states``
     cells of the index of m + 1 players it reads are charged against :data:`CELL_BUDGET` first."""
-    checks.index(j1, dist.k)
-    checks.index(j2, dist.k)
+    j1, j2 = checks.index(j1, dist.k), checks.index(j2, dist.k)
     checks.budget(dist.k * _classes(dist.m + 1, dist.k), CELL_BUDGET, "shifted tv", "cells")
     return float(_shift_tv(dist.probs, dist.m, dist.k, j1, j2))
 
@@ -278,7 +276,7 @@ def lipschitz_oracle(n: int, k: int, delta: float) -> OracleResult:
     the index build included (a cold cache), that holds from about (150, 2)
     upward; smaller calls read more from fixed costs, about 46 at (100, 2).
     """
-    checks.instance(n, k, delta)
+    n, k, delta = checks.instance(n, k, delta)
     m = n - 2
     cells = max(_classes(m, k), k) * _classes(m + 1, k)
     checks.budget(cells, CELL_BUDGET, "oracle instance", "cells")

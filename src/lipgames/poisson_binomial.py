@@ -178,8 +178,7 @@ def two_block_max_prob(n: int, delta: float) -> TwoBlockMax:
     1964), so each split needs only the four outcomes from one below the
     floor of its mean to two above it.
     """
-    checks.count(n, "term count")
-    checks.delta(delta)
+    n, delta = checks.count(n, "term count"), checks.delta(delta)
     checks.budget(n, SPLIT_SCAN_LIMIT, "split scan", "terms")
     q = 0.5 * delta
     half = n // 2
@@ -213,7 +212,6 @@ def binomial_collision_prob(n: int, delta: float) -> float:
     tests.  Counts above :data:`~lipgames.integer_pmf.MAX_TRIALS` raise
     :class:`~lipgames.errors.BudgetExceededError`.
     """
-    checks.count(n, "term count")
-    checks.delta(delta)
+    n, delta = checks.count(n, "term count"), checks.delta(delta)
     _, pmf = binomial_window(n, 0.5 * delta)
     return float((pmf * pmf).sum())

@@ -25,10 +25,10 @@ from .integer_pmf import IntegerPmf, binomial_window
 MAX_DP_STEPS = 2**15
 
 
-def _check_dp_params(n: int, r: float) -> None:
-    checks.count(n, "step count")
-    checks.rate(r)
+def _check_dp_params(n: int, r: float) -> tuple[int, float]:
+    n, r = checks.count(n, "step count"), checks.rate(r)
     checks.budget(n, MAX_DP_STEPS, "walk dynamic program", "steps")
+    return n, r
 
 
 def walk_pmf(n: int, r: float) -> IntegerPmf:
@@ -39,7 +39,7 @@ def walk_pmf(n: int, r: float) -> IntegerPmf:
     so mirrored positions see bitwise-identical arithmetic.  Step counts
     above :data:`MAX_DP_STEPS` raise :class:`~lipgames.errors.BudgetExceededError`.
     """
-    _check_dp_params(n, r)
+    n, r = _check_dp_params(n, r)
     hold = 1.0 - r
     half = 0.5 * r
     probs = np.array([1.0])
@@ -131,8 +131,7 @@ def passage_prob(n: int, r: float) -> float:
     :data:`~lipgames.integer_pmf.MAX_TRIALS` raise
     :class:`~lipgames.errors.BudgetExceededError` before any array is built.
     """
-    n = checks.count(n, "step count")
-    checks.rate(r)
+    n, r = checks.count(n, "step count"), checks.rate(r)
     lo, moves = binomial_window(n, r)
     return float((moves * _parity(lo, moves.size)).sum())
 
@@ -145,7 +144,7 @@ def stay_below_prob(n: int, r: float) -> float:
     recursion shares no code with :func:`walk_pmf`.  Step counts above
     :data:`MAX_DP_STEPS` raise :class:`~lipgames.errors.BudgetExceededError`.
     """
-    _check_dp_params(n, r)
+    n, r = _check_dp_params(n, r)
     hold = 1.0 - r
     half = 0.5 * r
     # alive[i] = P(not yet absorbed, position i - n); positions -n..0.

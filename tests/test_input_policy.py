@@ -1,41 +1,66 @@
-"""The one input policy for arrays, and the size budgets of the functions that take them.
+"""The one input policy for arrays and scalars, and the size budgets of the functions that take them.
 
 ``lipgames.checks.array`` is the only code that turns an outside array into
 numbers: a bool or a string is never a number, an ndarray is judged by its
 dtype alone, and a refusal of a Python sequence names the row of its first
-bad entry.
+bad entry.  A scalar check applies the same number rule and returns the
+Python ``int`` or ``float`` it admits, which is all its caller computes with.
 """
 
+import ast
+import dataclasses
 import inspect
 import math
 import re
 import time
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lipgames
 from lipgames import (
     AnonymousGame,
     BudgetExceededError,
     CountDistribution,
     IntegerPmf,
+    asymptotic_estimate,
+    binomial_collision_prob,
     checks,
     count_distribution,
     count_vector_rank,
     count_vectors,
+    find_eps_nash,
+    lipschitz_constant,
+    lipschitz_multi_action,
     lipschitz_oracle,
+    lipschitz_two_action,
+    lipschitz_two_action_even,
+    mirrored_action_counts,
     normal_approx_error,
     oracle,
     parse_game,
     party_game,
+    passage_prob,
     pb_mode,
     pb_pmf,
     perturbed_action_law,
+    perturbed_payoff,
+    point_prob,
     poisson_binomial,
     random_game,
+    regret,
+    regret_in_unperturbed,
+    simulate_coupling,
+    simulate_meet_time,
+    stay_below_prob,
+    two_action_odd_bracket,
+    two_block_max_prob,
     unit_shift_tv,
+    walk_pmf,
 )
 from lipgames.cli import main
 
@@ -413,3 +438,137 @@ def test_shape_refusals_print_a_huge_class_count_as_a_power_of_two(exact_counts_
         parse_game(doc)
     with pytest.raises(ValueError, match=r"^payoff table must have shape \(3, 2, 3\), got \(3, 2, 2\)$"):
         AnonymousGame(3, 2, np.zeros((3, 2, 2)))
+
+
+# Scalars: every scalar check returns the Python number it admits, and every
+# entry point computes only with what its checks return.
+
+
+def test_no_scalar_check_result_is_thrown_away():
+    """Only the budget and the range of an array are checked just for their effect."""
+    bare = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
+                callee = ast.unparse(node.value.func)
+                if (callee.startswith("checks.") and callee not in ("checks.budget", "checks.unit_interval")
+                        or callee.rpartition(".")[2].startswith("_check")):
+                    bare.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert bare == []
+
+
+def test_scalar_checks_return_the_python_number_they_admit():
+    admitted = checks.instance(np.int64(3), np.uint64(2), np.float32(0.5))
+    assert [type(v) for v in admitted] == [int, int, float] and admitted == (3, 2, 0.5)
+    for value in (np.float16(0.3), np.float32(0.3), np.float64(0.3), 0.3):
+        for admitted in (checks.delta(value), checks.rate(value), checks.bound(value, "eps")):
+            assert type(admitted) is float and admitted == float(value)
+
+
+_GAME = random_game(3, 2, 0)
+_DELTA, _DELTA_0 = r"delta must lie in \(0, 1\), got ", r"delta must lie in \[0, 1\), got "
+_RATE, _EPS = r"rate must lie in \(0, 1\], got ", "eps must be nonnegative, got "
+
+#: Every public entry point that takes a delta, a rate or an eps, as a call of
+#: that one scalar, and the refusal its check opens with.
+SCALAR_CALLS = {
+    "asymptotic_estimate": (lambda x: asymptotic_estimate(100, 3, x), _DELTA),
+    "binomial_collision_prob": (lambda x: binomial_collision_prob(100, x), _DELTA),
+    "count_distribution": (lambda x: count_distribution([0, 1, 2], 3, x), _DELTA),
+    "find_eps_nash-delta": (lambda x: find_eps_nash(_GAME, x, 0.1), _DELTA_0),
+    "find_eps_nash-eps": (lambda x: find_eps_nash(_GAME, 0.1, x), _EPS),
+    "lipschitz_constant-walk": (lambda x: lipschitz_constant(1000, 3, x), _DELTA),
+    "lipschitz_constant-even": (lambda x: lipschitz_constant(254, 2, x), _DELTA),
+    "lipschitz_constant-odd": (lambda x: lipschitz_constant(255, 2, x), _DELTA),
+    "lipschitz_constant-midpoint": (lambda x: lipschitz_constant(1001, 2, x), _DELTA),
+    "lipschitz_multi_action": (lambda x: lipschitz_multi_action(40, 3, x), _DELTA),
+    "lipschitz_oracle": (lambda x: lipschitz_oracle(40, 2, x), _DELTA),
+    "lipschitz_oracle-k3": (lambda x: lipschitz_oracle(6, 3, x), _DELTA),
+    "lipschitz_two_action": (lambda x: lipschitz_two_action(41, x), _DELTA),
+    "lipschitz_two_action_even": (lambda x: lipschitz_two_action_even(40, x), _DELTA),
+    "mirrored_action_counts": (lambda x: mirrored_action_counts(6, 3, x, 100, 1), _DELTA),
+    "passage_prob": (lambda x: passage_prob(100, x), _RATE),
+    "perturbed_action_law": (lambda x: perturbed_action_law(1, 3, x), _DELTA),
+    "perturbed_payoff": (lambda x: perturbed_payoff(_GAME, (0, 1, 0), 2, x), _DELTA_0),
+    "point_prob": (lambda x: point_prob(20, x, 2), _RATE),
+    "regret": (lambda x: regret(_GAME, (0, 1, 0), x), _DELTA_0),
+    "regret_in_unperturbed": (lambda x: regret_in_unperturbed(_GAME, (0, 1, 0), x), _DELTA_0),
+    "simulate_coupling": (lambda x: simulate_coupling(6, 3, x, 100, 1), _DELTA),
+    "simulate_meet_time": (lambda x: simulate_meet_time(6, 3, x, 100, 1), _DELTA),
+    "stay_below_prob": (lambda x: stay_below_prob(20, x), _RATE),
+    "two_action_odd_bracket": (lambda x: two_action_odd_bracket(41, x), _DELTA),
+    "two_block_max_prob": (lambda x: two_block_max_prob(253, x), _DELTA),
+    "walk_pmf": (lambda x: walk_pmf(20, x), _RATE),
+}
+
+
+def test_every_entry_point_taking_a_scalar_is_covered():
+    takes_one = {name for name in lipgames.__all__
+                 if inspect.isfunction(func := getattr(lipgames, name))
+                 and {"delta", "r", "eps"} & set(inspect.signature(func).parameters)}
+    assert len(takes_one) == 22
+    assert {name.split("-")[0] for name in SCALAR_CALLS} == takes_one
+
+
+def _leaves(result) -> list:
+    """The numbers, strings and arrays of ``result``, with its records and tuples opened."""
+    if dataclasses.is_dataclass(result):
+        result = tuple(getattr(result, field.name) for field in dataclasses.fields(result))
+    if isinstance(result, tuple):
+        return [leaf for item in result for leaf in _leaves(item)]
+    return [result]
+
+
+def _bits(leaf):
+    if isinstance(leaf, np.ndarray):
+        return leaf.dtype.str, leaf.shape, leaf.tobytes()
+    return leaf.hex() if isinstance(leaf, float) else leaf
+
+
+@pytest.mark.parametrize("dtype", (np.float16, np.float32, np.float64))
+@pytest.mark.parametrize("name", SCALAR_CALLS)
+def test_a_numpy_float_is_computed_as_the_float_it_equals(name, dtype):
+    call = SCALAR_CALLS[name][0]
+    leaves = _leaves(call(dtype(0.3)))
+    assert {type(leaf) for leaf in leaves} <= {float, int, str, type(None), np.ndarray}
+    assert all(leaf.dtype in (np.float64, np.int64) for leaf in leaves if isinstance(leaf, np.ndarray))
+    assert list(map(_bits, leaves)) == list(map(_bits, _leaves(call(float(dtype(0.3))))))
+
+
+@pytest.mark.parametrize(
+    "value", ("0.3", 0.3 + 0j, Fraction(3, 10), Decimal("0.3"), np.array(0.3), np.array([0.3])), ids=repr
+)
+@pytest.mark.parametrize("name", SCALAR_CALLS)
+def test_a_non_number_is_refused_by_its_scalar_check(name, value):
+    call, message = SCALAR_CALLS[name]
+    with pytest.raises(ValueError, match=f"^{message}{re.escape(repr(value))}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("integer", (int, np.int64, np.uint64))
+def test_numpy_integer_counts_are_stored_and_charged_as_python_ints(integer):
+    game = AnonymousGame(integer(70), integer(2), np.full((70, 2, 70), 0.5))
+    dist = CountDistribution(integer(1), integer(2), [0.5, 0.5])
+    assert [type(count) for count in (game.n, game.k, dist.m, dist.k)] == [int] * 4
+    # 2**70 in int64 wraps to 0, which the profile budget admitted, and the scan ran
+    with pytest.raises(BudgetExceededError, match="^equilibrium scan needs 1180591620717411303424 profiles, "):
+        find_eps_nash(game, 0.3, 0.1)
+    # the cell charge (2**32)**2 wraps to 0 as well, past which an index of 2**32 classes is built
+    with pytest.raises(BudgetExceededError, match="^oracle instance needs 18446744073709551616 cells, "):
+        lipschitz_oracle(2, integer(2**32), 0.3)
+
+
+def test_an_int_past_the_float_range_is_a_value_error(capsys):
+    for delta in (0.3, 0):
+        with pytest.raises(ValueError, match=r"^eps must lie within the float range, got over 2\*\*1328$"):
+            find_eps_nash(_GAME, delta, 10**400)
+    assert find_eps_nash(_GAME, 0.3, math.inf) == find_eps_nash(_GAME, 0.3, 1.0)
+    assert main(["equilibrium", "--party", "4", "--delta", "0.1", "--epsilon", "1e400"]) == 0
+    capsys.readouterr()
+    with pytest.raises(ValueError, match=rf"^eps must be nonnegative, got {-10**400}$"):
+        checks.bound(-10**400, "eps")
+    for huge in (10**400, -10**400):
+        with pytest.raises(ValueError, match=rf"^delta must lie in \(0, 1\), got {huge}$"):
+            checks.delta(huge)
+        with pytest.raises(ValueError, match=rf"^rate must lie in \(0, 1\], got {huge}$"):
+            checks.rate(huge)
