@@ -29,31 +29,36 @@ _INTS = (int, np.integer)
 _REALS = (int, float, np.integer, np.floating)
 
 
+def _shown(value) -> str:
+    """``value`` as a refusal prints it: its ``repr``, but an int of more than 1024 bits as
+    the power of two below its size, ``over 2**b`` or ``under -2**b``, as ``str(int)``
+    refuses past 4300 digits, and a tuple entry by entry by the same rule."""
+    if isinstance(value, tuple):
+        return f"({', '.join(map(_shown, value))}{',' if len(value) == 1 else ''})"
+    if isinstance(value, int) and value.bit_length() > 1024:
+        return f"{'over ' if value > 0 else 'under -'}2**{value.bit_length() - 1}"
+    return repr(value)
+
+
 def integer(value, name: str) -> int:
     """``value`` as an int, refused unless it is an integer of either sign."""
     if isinstance(value, bool) or not isinstance(value, _INTS):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
+        raise ValueError(f"{name} must be an integer, got {_shown(value)}")
     return int(value)
 
 
 def count(value, name: str, minimum: int = 0) -> int:
     """``value`` as an int, refused unless it is an integer >= ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, _INTS) or value < minimum:
-        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {_shown(value)}")
     return int(value)
 
 
 def index(value, size: int, name: str = "action") -> int:
     """``value`` as an int, refused unless it is an integer in ``0..size - 1``."""
     if count(value, name) >= size:
-        raise ValueError(f"{name} must lie in 0..{size - 1}, got {value!r}")
+        raise ValueError(f"{name} must lie in 0..{_shown(size - 1)}, got {_shown(value)}")
     return int(value)
-
-
-def _shown(number: int) -> int | str:
-    """``number`` as a message prints it: exact up to 1024 bits, else the power of two
-    below it, as ``str(int)`` refuses past 4300 digits."""
-    return number if number.bit_length() <= 1024 else f"over 2**{number.bit_length() - 1}"
 
 
 def budget(need: int, limit: int, what: str, unit: str) -> None:
@@ -78,13 +83,13 @@ def _real(value) -> float:
 
 def delta(value, zero_ok: bool = False) -> float:
     if not (0.0 < (number := _real(value)) < 1.0 or zero_ok and number == 0.0):
-        raise ValueError(f"delta must lie in {'[' if zero_ok else '('}0, 1), got {value!r}")
+        raise ValueError(f"delta must lie in {'[' if zero_ok else '('}0, 1), got {_shown(value)}")
     return number
 
 
 def rate(value) -> float:
     if not 0.0 < (number := _real(value)) <= 1.0:
-        raise ValueError(f"rate must lie in (0, 1], got {value!r}")
+        raise ValueError(f"rate must lie in (0, 1], got {_shown(value)}")
     return number
 
 
@@ -94,7 +99,7 @@ def instance(n, k, delta_) -> tuple[int, int, float]:
 
 def bound(value, name: str) -> float:
     if not (number := _real(value)) >= 0.0:
-        raise ValueError(f"{name} must be nonnegative, got {value!r}")
+        raise ValueError(f"{name} must be nonnegative, got {_shown(value)}")
     if number == math.inf and isinstance(value, int):  # inf is admitted, an int past the float range is not
         raise ValueError(f"{name} must lie within the float range, got {_shown(value)}")
     return number

@@ -39,17 +39,6 @@ VERIFY_DELTAS = (0.1, 0.25, 0.5, 0.75, 0.9)
 VERIFY_FAMILIES = ((3, 8), (4, 8), (2, 12))
 VERIFY_TOL = 1e-9
 SWEEP_COLUMNS = ("n", "k", "delta", "lambda", "lower", "upper", "asymptotic", "ratio")
-#: Largest walk-step charge of one sweep, a row of n players costing
-#: ``max(n, _MIN_ROW_STEPS)``, or ``max(n**2, _MIN_ROW_STEPS)`` when it runs
-#: the split scan (:func:`_row_steps`).  Measured at 12-47 ns a charged step
-#: (CLI runs on a 2-core host: k = 3 at n = 2..14142 12-23, k = 2 at
-#: n = 2..256 with 19 deltas 19-27, k = 3 at n = 1e5..2e6 44-47), so 6-24 s
-#: at the limit.  Below the floor, a row's fixed cost outweighs its steps.
-#: Those rates are of rows that summed all n + 1 Binomial entries; the
-#: closed forms sum an O(sqrt(n)) window, so at large n the charge of n
-#: steps over-counts a row's cost.
-MAX_SWEEP_STEPS = 5 * 10**8
-_MIN_ROW_STEPS = 1 << 12
 _JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 
@@ -123,23 +112,13 @@ def cmd_lambda(ns) -> tuple[int, str]:
     return 0, _render(payload, ns.json)
 
 
-def _row_steps(n: int, k: int) -> int:
-    """Walk steps charged to one sweep row: ``n**2`` when it runs the O(n^2)
-    split scan, ``n`` for the closed forms, and never below the floor."""
-    return max(n * n if lz._runs_split_scan(n, k) else n, _MIN_ROW_STEPS)
-
-
 def _sweep_rows(ns):
     if ns.n_stop < ns.n_start or ns.n_step < 1:
         raise ValueError("sweep range is empty; need n-start <= n-stop and n-step >= 1")
     ns.delta = [checks.delta(d) for d in ns.delta]
     ns.n_start, ns.k, _ = checks.instance(ns.n_start, ns.k, ns.delta[0])
     rows = range(ns.n_start, ns.n_stop + 1, ns.n_step)
-    small = range(ns.n_start, min(ns.n_stop + 1, _MIN_ROW_STEPS), ns.n_step)
-    # The rows' n summed in closed form, plus the excess charge of the rows below
-    # the floor, which every split-scan row lies below.
-    steps = len(rows) * (rows[0] + rows[-1]) // 2 + sum(_row_steps(n, ns.k) - n for n in small)
-    checks.budget(steps * len(ns.delta), MAX_SWEEP_STEPS, "sweep", "walk steps")
+    lz._charge_sweep(rows, ns.k, len(ns.delta))
     for n in rows:
         for d in ns.delta:
             res = lz.lipschitz_constant(n, ns.k, d)

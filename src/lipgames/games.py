@@ -274,10 +274,10 @@ def parse_game(obj: dict) -> AnonymousGame:
     n, k = checks.count(obj["n"], "field n", 2), checks.count(obj["k"], "field k", 2)
     payoffs = obj["payoffs"]
     if not isinstance(payoffs, list) or len(payoffs) != n:
-        raise ValueError(f"payoffs must list {n} players")
+        raise ValueError(f"payoffs must list {checks._shown(n)} players")
     for i, per_player in enumerate(payoffs):
         if not isinstance(per_player, list) or len(per_player) != k:
-            raise ValueError(f"payoffs[{i}] must list {k} actions")
+            raise ValueError(f"payoffs[{i}] must list {checks._shown(k)} actions")
     classes = _classes(n - 1, k)
     for i, per_player in enumerate(payoffs):
         for j, per_action in enumerate(per_player):

@@ -8,6 +8,7 @@ lazy walk.  For two actions it is ``(1 - delta)`` times the split Bernoulli
 maximum of :mod:`lipgames.poisson_binomial`; at even n that maximum is the
 chance that two i.i.d. Binomial(n/2 - 1, delta/2) draws coincide, an
 O(sqrt(n)) sum, and at odd n it is bracketed by the adjacent even values.
+The module also prices its evaluations, by :func:`_charge` and :func:`_charge_sweep`.
 """
 
 from __future__ import annotations
@@ -32,6 +33,16 @@ METHOD_ORACLE = "oracle"
 #: maximum for two-action games; beyond it, odd n reports the bracket
 #: midpoint.  Even n always uses the O(sqrt(n)) collision formula.
 TWO_ACTION_EXACT_LIMIT = 256
+
+#: Largest walk-step charge of one sweep (:func:`_charge_sweep`): a row of n players
+#: costs n steps, n**2 when it scans splits, and at least its fixed cost ``_MIN_ROW_STEPS``.
+#: Measured per ``lipschitz_constant`` call (in process, 2-core host): a k = 3 row takes
+#: 0.02-0.03 ms up to n = 1000 and 0.7-1.1 ms near 10**7, a split-scan row 0.54-1.27 ms.
+#: The worst grids the limit admits, odd k = 2 rows 3-255 at 173 deltas and k = 3 rows
+#: 2-4095 at 29, took 8.6-16.5 s and 2.7-3.9 s.  A row near 10**7 costs about 1 ms but
+#: is charged as much as 150 split-scan rows: the closed forms sum O(sqrt(n)) entries.
+MAX_SWEEP_STEPS = 5 * 10**8
+_MIN_ROW_STEPS = 1 << 12
 
 #: Residual ``|lambda - delta|`` at which :func:`delta_fixed_point` stops.
 FIXED_POINT_TOL = 1e-10
@@ -115,7 +126,7 @@ def lipschitz_two_action_even(n: int, delta: float) -> float:
     """
     n, _, delta = checks.instance(n, 2, delta)
     if n % 2:
-        raise ValueError(f"player count must be even, got {n}")
+        raise ValueError(f"player count must be even, got {checks._shown(n)}")
     return _two_action_even(n, delta)
 
 
@@ -128,7 +139,7 @@ def two_action_odd_bracket(n: int, delta: float) -> tuple[float, float]:
     """
     n, _, delta = checks.instance(n, 2, delta)
     if n % 2 == 0:
-        raise ValueError(f"player count must be odd, got {n}")
+        raise ValueError(f"player count must be odd, got {checks._shown(n)}")
     return _odd_bracket(n, delta)
 
 
@@ -165,6 +176,16 @@ def _charge(n, k) -> None:
     past the float range, which no budget covers, before either meets a float."""
     integer_pmf.charge_trials(n - 2 if k >= 3 else (n + 1) // 2 - 1)
     _float_range(k, "action count")
+
+
+def _charge_sweep(rows, k, columns) -> None:
+    """Refuse ``columns`` deltas at each n of ``rows`` past :data:`MAX_SWEEP_STEPS`: n steps a row
+    in closed form, plus the excess charge of the rows below the floor, where every scanned row
+    lies.  The rows are counted without ``len``, which fails past ``sys.maxsize`` of them."""
+    small = range(rows.start, min(rows.stop, _MIN_ROW_STEPS), rows.step)
+    excess = sum(max(n * n if _runs_split_scan(n, k) else n, _MIN_ROW_STEPS) - n for n in small)
+    steps = ((rows[-1] - rows[0]) // rows.step + 1) * (rows[0] + rows[-1]) // 2 + excess
+    checks.budget(steps * columns, MAX_SWEEP_STEPS, "sweep", "walk steps")
 
 
 def _passage(steps, k, delta) -> float:

@@ -71,7 +71,7 @@ def count_vector_rank(counts: Sequence[int]) -> int:
     """Lexicographic rank of a composition among all of the same sum and length."""
     counts = tuple(checks.count(c, "count") for c in counts)
     if len(counts) < 2:
-        raise ValueError(f"count vector must have >= 2 parts, got {counts!r}")
+        raise ValueError(f"count vector must have >= 2 parts, got {checks._shown(counts)}")
     rank = 0
     remaining = sum(counts)
     parts = len(counts)
@@ -157,15 +157,17 @@ class CountDistribution:
         expected = _classes(self.m, self.k)
         if probs.shape != (expected,):
             raise ValueError(
-                f"expected {checks._shown(expected)} probabilities for m={self.m}, k={self.k}, "
-                f"got shape {probs.shape}"
+                f"expected {checks._shown(expected)} probabilities for m={checks._shown(self.m)}, "
+                f"k={checks._shown(self.k)}, got shape {probs.shape}"
             )
         object.__setattr__(self, "probs", checks.probabilities(probs))
 
     def prob(self, counts: Sequence[int]) -> float:
         counts = tuple(checks.count(c, "count") for c in counts)
         if len(counts) != self.k or sum(counts) != self.m:
-            raise ValueError(f"count vector must have {self.k} parts summing to {self.m}")
+            raise ValueError(
+                f"count vector must have {checks._shown(self.k)} parts summing to {checks._shown(self.m)}"
+            )
         return float(self.probs[count_vector_rank(counts)])
 
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import collections
 import json
 import os
@@ -17,6 +18,7 @@ import lipgames.lipschitz
 import lipgames.oracle
 from lipgames import game_to_dict, random_game
 from lipgames.cli import main
+from lipgames.errors import BudgetExceededError
 
 
 def run_cli(capsys, *argv):
@@ -286,11 +288,11 @@ def test_oversized_sweep_is_refused_before_any_row(tmp_path, capsys, monkeypatch
 def test_sweep_budget_boundary(capsys, monkeypatch):
     # rows 4090..4100 step 5 cost 4096 + 4096 + 4100, and each --delta repeats them
     args = ["sweep", "--n-start", "4090", "--n-stop", "4100", "--n-step", "5", "--k", "3"]
-    monkeypatch.setattr(lipgames.cli, "MAX_SWEEP_STEPS", 2 * 12292)
+    monkeypatch.setattr(lipgames.lipschitz, "MAX_SWEEP_STEPS", 2 * 12292)
     code, out, err = run_cli(capsys, *args, "--delta", "0.5", "--delta", "0.25")
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 7
-    monkeypatch.setattr(lipgames.cli, "MAX_SWEEP_STEPS", 2 * 12292 - 1)
+    monkeypatch.setattr(lipgames.lipschitz, "MAX_SWEEP_STEPS", 2 * 12292 - 1)
     code, out, err = run_cli(capsys, *args, "--delta", "0.5", "--delta", "0.25")
     assert (code, out) == (2, "")
     assert err == "error: BudgetExceededError: sweep needs 24584 walk steps, over the budget of 24583\n"
@@ -300,25 +302,45 @@ def test_sweep_charges_split_scan_rows_their_square(capsys, monkeypatch):
     # odd two-action rows up to the exact limit run the O(n^2) split scan:
     # 253**2 + 4096 + 255**2 + 4096, and row 257 takes the bracket at the floor
     args = ["sweep", "--n-start", "253", "--n-stop", "257", "--k", "2", "--delta", "0.5"]
-    monkeypatch.setattr(lipgames.cli, "MAX_SWEEP_STEPS", 141322)
+    monkeypatch.setattr(lipgames.lipschitz, "MAX_SWEEP_STEPS", 141322)
     code, out, err = run_cli(capsys, *args)
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 6
-    monkeypatch.setattr(lipgames.cli, "MAX_SWEEP_STEPS", 141321)
+    monkeypatch.setattr(lipgames.lipschitz, "MAX_SWEEP_STEPS", 141321)
     code, out, err = run_cli(capsys, *args)
     assert (code, out) == (2, "")
     assert err == "error: BudgetExceededError: sweep needs 141322 walk steps, over the budget of 141321\n"
     # a k = 3 row is an O(n) walk sum, charged the floor like row 257 at k = 2
-    assert lipgames.cli._row_steps(255, 3) == lipgames.cli._row_steps(257, 2) == 4096
+    monkeypatch.setattr(lipgames.lipschitz, "MAX_SWEEP_STEPS", 4095)
+    for n, k in ((255, 3), (257, 2)):
+        with pytest.raises(BudgetExceededError, match="^sweep needs 4096 walk steps, "):
+            lipgames.lipschitz._charge_sweep(range(n, n + 1), k, 1)
 
 
 def test_every_split_scan_row_lies_below_the_charge_floor():
     # the sweep charges rows from the floor on in closed form, as n steps each;
     # a split-scan row there would be charged n instead of n**2
-    floor = lipgames.cli._MIN_ROW_STEPS
+    floor = lipgames.lipschitz._MIN_ROW_STEPS
     scanned = [n for k in (2, 3, 4) for n in range(2, 4 * floor) if lipgames.lipschitz._runs_split_scan(n, k)]
     assert scanned and max(scanned) < floor
     assert "TWO_ACTION_EXACT_LIMIT" not in Path(lipgames.cli.__file__).read_text()
+
+
+def test_only_lipschitz_prices_a_sweep():
+    # the limit, the row floor and the route predicate stay in lipschitz; cli's sweep
+    # reaches them through one call of the pricing function
+    priced = {"MAX_SWEEP_STEPS", "_MIN_ROW_STEPS", "_runs_split_scan", "_charge_sweep"}
+    outside = []
+    for path in sorted(Path(lipgames.cli.__file__).parent.glob("*.py")):
+        if path.name == "lipschitz.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            owner = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                name = getattr(node, "attr", None) or getattr(node, "id", None) or getattr(node, "name", None)
+                if name in priced:
+                    outside.append((path.name, owner, ast.unparse(node)))
+    assert outside == [("cli.py", "_sweep_rows", "lz._charge_sweep")]
 
 
 def test_oversized_two_action_sweep_is_refused_at_once(capsys):
@@ -710,6 +732,44 @@ def test_counts_past_the_float_range_are_one_line_errors(capsys, argv, code, err
     assert (got, out) == (code, "")
     assert err.startswith("error: " + error)
     assert err.count("\n") == 1
+
+
+#: Each command with small valid arguments, and the integer options it takes.
+INTEGER_OPTIONS = {
+    ("lambda", "--n", "5", "--k", "3", "--delta", "0.3"): ("--n", "--k"),
+    ("sweep", "--n-start", "2", "--n-stop", "5", "--n-step", "1", "--k", "3", "--delta", "0.3"):
+        ("--n-start", "--n-stop", "--n-step", "--k"),
+    ("coupling", "--n", "5", "--k", "3", "--delta", "0.3", "--samples", "100", "--seed", "1"):
+        ("--n", "--k", "--samples", "--seed"),
+    ("meet-time", "--n", "5", "--k", "3", "--delta", "0.3", "--samples", "100", "--seed", "1"):
+        ("--n", "--k", "--samples", "--seed"),
+    ("equilibrium", "--party", "4", "--delta", "0.1"): ("--party",),
+    ("delta-star", "--n", "10", "--k", "3"): ("--n", "--k"),
+}
+
+
+@pytest.mark.parametrize("sign", ("", "-"))
+@pytest.mark.parametrize("digits", (20, 4000))  # argparse reads an int of up to 4300 digits
+@pytest.mark.parametrize(
+    "base,option", [(base, option) for base, options in INTEGER_OPTIONS.items() for option in options],
+    ids=lambda value: value[0] if isinstance(value, tuple) else value,
+)
+def test_no_integer_option_yields_a_traceback(capsys, base, option, digits, sign):
+    argv = list(base)
+    argv[argv.index(option) + 1] = sign + str(10**digits)
+    lipgames.cli._parser()  # built once per process, so not part of the request
+    start = time.perf_counter()
+    code, _, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code in (0, 1, 2)
+    assert err == "" or err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_integer_options_list_every_int_option_of_every_command():
+    _, commands = lipgames.cli._parser()
+    declared = {(name, option) for name, parser in commands.items() for action in parser._actions
+                if action.type is int for option in action.option_strings}
+    assert declared == {(base[0], option) for base, options in INTEGER_OPTIONS.items() for option in options}
 
 
 def test_huge_player_count_meets_the_same_budget_as_a_billion(capsys):

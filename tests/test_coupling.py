@@ -456,6 +456,41 @@ def test_helper_thread_error_reraises_in_caller(monkeypatch):
     assert all(t.name != "lipgames-coupling" for t in threading.enumerate())
 
 
+def test_caller_error_stops_the_helper_after_its_current_block(monkeypatch):
+    helper_walking, joining = threading.Event(), threading.Event()
+
+    class Thread(threading.Thread):
+        def join(self, timeout=None):
+            joining.set()  # the caller has recorded its failure and waits for the helper
+            super().join(timeout)
+
+    walked = []
+
+    def part(block, size, lo, hi):
+        if threading.current_thread() is threading.main_thread():
+            assert helper_walking.wait(10)
+            raise RuntimeError("block 0 failed")
+        walked.append(block)
+        helper_walking.set()
+        assert joining.wait(10)  # the helper's block 2 ends only once the caller has failed
+        return block
+
+    monkeypatch.setattr(coupling, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(coupling.threading, "Thread", Thread)
+    with pytest.raises(RuntimeError, match="block 0 failed"):
+        coupling._map_blocks(4 * BLOCK_SIZE, part)  # the caller walks blocks 0-1, the helper 2-3
+    assert walked == [2]
+    assert all(t.name != "lipgames-coupling" for t in threading.enumerate())
+
+
+def test_cpu_count_without_an_affinity_call(monkeypatch):
+    monkeypatch.delattr(coupling.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(coupling.os, "cpu_count", lambda: 3)
+    assert coupling._cpu_count() == 3
+    monkeypatch.setattr(coupling.os, "cpu_count", lambda: None)
+    assert coupling._cpu_count() == 1
+
+
 def test_block_order_holds_under_rapid_thread_switches(monkeypatch):
     monkeypatch.setattr(coupling, "_cpu_count", lambda: 2)
     samples = 151 * BLOCK_SIZE + 1

@@ -565,10 +565,48 @@ def test_an_int_past_the_float_range_is_a_value_error(capsys):
     assert find_eps_nash(_GAME, 0.3, math.inf) == find_eps_nash(_GAME, 0.3, 1.0)
     assert main(["equilibrium", "--party", "4", "--delta", "0.1", "--epsilon", "1e400"]) == 0
     capsys.readouterr()
-    with pytest.raises(ValueError, match=rf"^eps must be nonnegative, got {-10**400}$"):
+    # an int of more than 1024 bits is printed as checks.budget prints a need
+    with pytest.raises(ValueError, match=r"^eps must be nonnegative, got under -2\*\*1328$"):
         checks.bound(-10**400, "eps")
-    for huge in (10**400, -10**400):
-        with pytest.raises(ValueError, match=rf"^delta must lie in \(0, 1\), got {huge}$"):
+    for huge, shown in ((10**400, r"over 2\*\*1328"), (-10**400, r"under -2\*\*1328")):
+        with pytest.raises(ValueError, match=rf"^delta must lie in \(0, 1\), got {shown}$"):
             checks.delta(huge)
-        with pytest.raises(ValueError, match=rf"^rate must lie in \(0, 1\], got {huge}$"):
+        with pytest.raises(ValueError, match=rf"^rate must lie in \(0, 1\], got {shown}$"):
             checks.rate(huge)
+
+
+_H = 10**5000  # past the 4300 digits str(int) prints
+#: Calls that refuse an int of more than 1024 bits, each with the message that names it.
+HUGE_CALLS = {
+    "lipschitz_constant-delta": (lambda: lipschitz_constant(10, 3, _H), r"delta must lie in \(0, 1\), got over "),
+    "lipschitz_constant-n": (lambda: lipschitz_constant(-_H, 3, 0.3), "player count must be an integer >= 2, got under -"),
+    "lipschitz_two_action_even": (lambda: lipschitz_two_action_even(_H + 1, 0.3), "player count must be even, got over "),
+    "two_action_odd_bracket": (lambda: two_action_odd_bracket(_H, 0.3), "player count must be odd, got over "),
+    "count_vector_rank": (lambda: count_vector_rank((_H,)), r"count vector must have >= 2 parts, got \(over "),
+    "CountDistribution": (lambda: CountDistribution(_H, 2, [1.0]), "expected over "),
+    "parse_game": (lambda: parse_game({"n": _H, "k": 2, "payoffs": []}), "payoffs must list over "),
+    "passage_prob": (lambda: passage_prob(5, _H), r"rate must lie in \(0, 1\], got over "),
+    "walk_pmf": (lambda: walk_pmf(-_H, 0.3), "step count must be an integer >= 0, got under -"),
+    "simulate_coupling": (lambda: simulate_coupling(5, 3, 0.3, 10, -_H), "seed must be an integer >= 0, got under -"),
+    "random_game": (lambda: random_game(3, 2, -_H), "seed must be an integer >= 0, got under -"),
+    **{f"{name}{'+-'[sign < 0]}": (lambda call=call, sign=sign: call(sign * _H), f".* got {'over ' if sign > 0 else 'under -'}")
+       for name, (call, _) in SCALAR_CALLS.items() for sign in (1, -1)},
+}
+
+
+@pytest.mark.parametrize("name", HUGE_CALLS)
+def test_a_huge_int_is_refused_with_the_checks_own_message(name):
+    call, message = HUGE_CALLS[name]
+    with pytest.raises(ValueError, match=rf"^{message}2\*\*16609\b") as refusal:
+        call()
+    assert "Exceeds the limit" not in str(refusal.value)
+
+
+def test_shown_prints_ordinary_values_as_their_repr():
+    for value in (0, -3, 2**1024 - 1, -(2**1024 - 1), True, 0.3, "0.3", np.int64(7), np.float32(0.5), None):
+        assert checks._shown(value) == repr(value)
+    for value in ((), (1,), (2, 3), (1, (2,))):
+        assert checks._shown(value) == repr(value)
+    assert checks._shown(2**1024) == "over 2**1024"
+    assert checks._shown(-(2**1024)) == "under -2**1024"
+    assert checks._shown((3, 2**1025 + 1, -(2**1030))) == "(3, over 2**1025, under -2**1030)"
