@@ -1,14 +1,13 @@
 """Worst-case Lipschitz constants of delta-perturbed anonymous games.
 
-The constant ``lambda(n, k, delta)`` is the largest influence one player's
-action can have on another player's expected payoff across all n-player
-k-action anonymous games once every action is delta-perturbed.  For three
-or more actions it equals ``(1 - delta)`` times a passage probability of a
-lazy walk.  For two actions it is ``(1 - delta)`` times the split Bernoulli
-maximum of :mod:`lipgames.poisson_binomial`; at even n that maximum is the
-chance that two i.i.d. Binomial(n/2 - 1, delta/2) draws coincide, an
-O(sqrt(n)) sum, and at odd n it is bracketed by the adjacent even values.
-The module also prices its evaluations, by :func:`_charge` and :func:`_charge_sweep`.
+The constant ``lambda(n, k, delta)`` is the largest influence one player's action can have on
+another player's expected payoff across all n-player k-action anonymous games once every action
+is delta-perturbed.  For three or more actions it equals ``(1 - delta)`` times a passage
+probability of a lazy walk.  For two actions it is ``(1 - delta)`` times the split Bernoulli
+maximum of :mod:`lipgames.poisson_binomial`; at even n that maximum is the chance that two i.i.d.
+Binomial(n/2 - 1, delta/2) draws coincide, the same O(sqrt(n)) walk sum over even moves, and at
+odd n it is bracketed by the adjacent even values.  The module also prices its evaluations, by
+:func:`_charge` and :func:`_charge_sweep`.
 """
 
 from __future__ import annotations
@@ -34,15 +33,14 @@ METHOD_ORACLE = "oracle"
 #: midpoint.  Even n always uses the O(sqrt(n)) collision formula.
 TWO_ACTION_EXACT_LIMIT = 256
 
-#: Largest walk-step charge of one sweep (:func:`_charge_sweep`): a row of n players
-#: costs n steps, n**2 when it scans splits, and at least its fixed cost ``_MIN_ROW_STEPS``.
-#: Measured per ``lipschitz_constant`` call (in process, 2-core host): a k = 3 row takes
-#: 0.02-0.03 ms up to n = 1000 and 0.7-1.1 ms near 10**7, a split-scan row 0.54-1.27 ms.
-#: The worst grids the limit admits, odd k = 2 rows 3-255 at 173 deltas and k = 3 rows
-#: 2-4095 at 29, took 8.6-16.5 s and 2.7-3.9 s.  A row near 10**7 costs about 1 ms but
-#: is charged as much as 150 split-scan rows: the closed forms sum O(sqrt(n)) entries.
+#: Largest charge of one sweep (:func:`_charge_sweep`), in window entries: each row costs the
+#: widest window of the sweep's largest row, a split-scan row n**2 instead, and every row at
+#: least its fixed cost ``_MIN_ROW_STEPS``.  Measured by ``lipschitz_constant`` calls (in
+#: process, 2-core host): 0.02-0.03 ms a row up to n = 4095, then 25-40 ns an entry.  The worst
+#: grids admitted, 238 rows at the widest window (k = 3, delta = 0.75), k = 3 rows 2-4095 at 119
+#: deltas and odd k = 2 rows 3-255 at 178, took 18.2, 13.5 and 10.3 s.
 MAX_SWEEP_STEPS = 5 * 10**8
-_MIN_ROW_STEPS = 1 << 12
+_MIN_ROW_STEPS = 1 << 10
 
 #: Residual ``|lambda - delta|`` at which :func:`delta_fixed_point` stops.
 FIXED_POINT_TOL = 1e-10
@@ -119,10 +117,10 @@ def lipschitz_two_action(n: int, delta: float) -> LambdaResult:
 def lipschitz_two_action_even(n: int, delta: float) -> float:
     """Exact two-action constant at even n via the binomial collision formula.
 
-    ``(1 - delta) * P(two i.i.d. Binomial(n/2 - 1, delta/2) draws coincide)``,
-    which equals the walk with rate ``delta*(1 - delta/2)`` sitting at 0
-    after ``n/2 - 1`` steps; agrees with :func:`lipschitz_two_action`,
-    costs O(sqrt(n)), and is the route :func:`lipschitz_constant` takes at even n.
+    ``(1 - delta) * P(two i.i.d. Binomial(n/2 - 1, delta/2) draws coincide)``, summed as
+    the walk at rate ``delta*(1 - delta/2)`` back at 0 after ``n/2 - 1`` steps: the k >= 3
+    route's windowed sum over even moves.  Agrees with :func:`lipschitz_two_action`, costs
+    O(sqrt(n)), and is the route :func:`lipschitz_constant` takes at even n.
     """
     n, _, delta = checks.instance(n, 2, delta)
     if n % 2:
@@ -171,21 +169,23 @@ def _float_range(count, name) -> None:
         raise ValueError(f"{name} must be at most {sys.float_info.max!r}, got {checks._shown(count)}")
 
 
-def _charge(n, k) -> None:
-    """Refuse n by the trials of the first Binomial pmf :func:`_dispatch` builds, and k
-    past the float range, which no budget covers, before either meets a float."""
-    integer_pmf.charge_trials(n - 2 if k >= 3 else (n + 1) // 2 - 1)
+def _charge(n, k) -> int:
+    """The entries of the widest window (rate 1/2) of the largest pmf :func:`_dispatch` builds,
+    refused past the budget, as is k past the float range, before either meets a float."""
+    lo, _, hi = integer_pmf.window_span(n - 2 if k >= 3 else (n + 1) // 2 - 1, 0.5)
     _float_range(k, "action count")
+    return hi - lo + 1
 
 
 def _charge_sweep(rows, k, columns) -> None:
-    """Refuse ``columns`` deltas at each n of ``rows`` past :data:`MAX_SWEEP_STEPS`: n steps a row
-    in closed form, plus the excess charge of the rows below the floor, where every scanned row
-    lies.  The rows are counted without ``len``, which fails past ``sys.maxsize`` of them."""
+    """Refuse ``columns`` deltas at each n of ``rows`` past :data:`MAX_SWEEP_STEPS`: each row at the
+    largest row's :func:`_charge`, a split-scan row (all lie below the floor) at n**2, none below
+    the floor.  The rows are counted without ``len``, which fails past ``sys.maxsize`` of them."""
+    row = max(_charge(rows[-1], k), _MIN_ROW_STEPS)
     small = range(rows.start, min(rows.stop, _MIN_ROW_STEPS), rows.step)
-    excess = sum(max(n * n if _runs_split_scan(n, k) else n, _MIN_ROW_STEPS) - n for n in small)
-    steps = ((rows[-1] - rows[0]) // rows.step + 1) * (rows[0] + rows[-1]) // 2 + excess
-    checks.budget(steps * columns, MAX_SWEEP_STEPS, "sweep", "walk steps")
+    scans = sum(max(n * n, _MIN_ROW_STEPS) - row for n in small if _runs_split_scan(n, k))
+    entries = ((rows[-1] - rows[0]) // rows.step + 1) * row + scans
+    checks.budget(entries * columns, MAX_SWEEP_STEPS, "sweep", "window entries")
 
 
 def _passage(steps, k, delta) -> float:

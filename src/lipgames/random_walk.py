@@ -2,13 +2,13 @@
 
 The walk starts at 0 and at each step stays put with probability ``1 - r``
 and moves +1 or -1 with probability ``r/2`` each, for a rate ``r`` in
-``(0, 1]``.  The passage probability behind the Lipschitz constants is an
-O(sqrt(n)) sum over the number of non-lazy moves, taken over the window of
-that Binomial count which :func:`~lipgames.integer_pmf.binomial_window`
-keeps, so the mass it drops is at most ``2 e**-60``; the full law, the
-point probabilities and the barrier probability are O(n^2) dynamic
-programs over the whole support, kept as independent cross-checks and
-refused above :data:`MAX_DP_STEPS` steps.  Nothing is sampled.
+``(0, 1]``.  Both closed forms are one O(sqrt(n)) sum over the number of
+non-lazy moves, in the window :func:`~lipgames.integer_pmf.binomial_window`
+keeps, which drops at most ``2 e**-60`` of the mass: the passage probability
+sums every count, ``poisson_binomial.binomial_collision_prob`` the even ones.
+The full law, the point probabilities and the barrier probability are O(n^2)
+dynamic programs over the whole support, kept as independent cross-checks
+and refused above :data:`MAX_DP_STEPS` steps.  Nothing is sampled.
 """
 
 from __future__ import annotations
@@ -127,8 +127,8 @@ def passage_prob(n: int, r: float) -> float:
     steps, which sits in {0, 1} with probability
     ``f[j] = C(j, floor(j/2)) / 2^j``.  The sum runs over the
     O(sqrt(n r (1 - r))) window of :func:`~lipgames.integer_pmf.binomial_window`
-    alone, and ``f`` over it comes from :func:`_parity`.  Step counts above
-    :data:`~lipgames.integer_pmf.MAX_TRIALS` raise
+    alone, and ``f`` over it comes from :func:`_parity`.  A window past
+    :data:`~lipgames.integer_pmf.MAX_WINDOW` entries or 2**53 steps raises
     :class:`~lipgames.errors.BudgetExceededError` before any array is built.
     """
     n, r = checks.count(n, "step count"), checks.rate(r)

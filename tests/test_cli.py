@@ -2,7 +2,9 @@ import argparse
 import ast
 import collections
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -19,6 +21,8 @@ import lipgames.oracle
 from lipgames import game_to_dict, random_game
 from lipgames.cli import main
 from lipgames.errors import BudgetExceededError
+
+import brute
 
 
 def run_cli(capsys, *argv):
@@ -121,21 +125,22 @@ def test_scan_cell_budget_exit_code(capsys, monkeypatch):
     assert err == "error: BudgetExceededError: equilibrium scan needs 588 cells, over the budget of 587\n"
 
 
+#: One player past the widest window each route admits, 2**21 - 1 entries at rate 1/2:
+#: n - 2 = 30,539,601,285 trials at k >= 3, and (n + 1) // 2 - 1 of them at k = 2.
 @pytest.mark.parametrize(
     "argv",
     [
-        ("lambda", "--n", "1000000000", "--k", "3", "--delta", "0.5"),
-        ("lambda", "--n", "1000000000", "--k", "2", "--delta", "0.5"),
-        ("lambda", "--n", "1000000001", "--k", "2", "--delta", "0.5"),
-        ("delta-star", "--n", "1000000000", "--k", "4"),
+        ("lambda", "--n", "30539601287", "--k", "3", "--delta", "0.5"),
+        ("lambda", "--n", "61079202572", "--k", "2", "--delta", "0.5"),
+        ("lambda", "--n", "61079202571", "--k", "2", "--delta", "0.5"),
+        ("delta-star", "--n", "30539601287", "--k", "4"),
     ],
 )
 def test_formula_step_budget_exit_code(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: BudgetExceededError:")
-    assert "\n" not in err.strip()
+    assert err == "error: BudgetExceededError: binomial pmf needs 2097153 window entries, over the budget of 2097152\n"
 
 
 @pytest.mark.parametrize("command", ("coupling", "meet-time"))
@@ -279,47 +284,67 @@ def test_oversized_sweep_is_refused_before_any_row(tmp_path, capsys, monkeypatch
     assert time.perf_counter() - start < 1.0
     assert peak < 1 << 16
     assert (code, out) == (2, "")
-    # each row costs max(n, 4096) walk steps: 4094 rows below the floor, then n up to 10**7
-    assert err == ("error: BudgetExceededError: sweep needs 50000013382464 walk steps, "
+    # each of the 9,999,999 rows costs the window of row 10**7, 38,029 entries
+    assert err == ("error: BudgetExceededError: sweep needs 380289961971 window entries, "
                    "over the budget of 500000000\n")
     assert not out_path.exists()
 
 
 def test_sweep_budget_boundary(capsys, monkeypatch):
-    # rows 4090..4100 step 5 cost 4096 + 4096 + 4100, and each --delta repeats them
-    args = ["sweep", "--n-start", "4090", "--n-stop", "4100", "--n-step", "5", "--k", "3"]
-    monkeypatch.setattr(lipgames.lipschitz, "MAX_SWEEP_STEPS", 2 * 12292)
+    # rows 40000..40010 step 5 each cost the window of row 40010, 2483 entries, and each
+    # --delta repeats them
+    args = ["sweep", "--n-start", "40000", "--n-stop", "40010", "--n-step", "5", "--k", "3"]
+    monkeypatch.setattr(lipgames.lipschitz, "MAX_SWEEP_STEPS", 2 * 3 * 2483)
     code, out, err = run_cli(capsys, *args, "--delta", "0.5", "--delta", "0.25")
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 7
-    monkeypatch.setattr(lipgames.lipschitz, "MAX_SWEEP_STEPS", 2 * 12292 - 1)
+    monkeypatch.setattr(lipgames.lipschitz, "MAX_SWEEP_STEPS", 2 * 3 * 2483 - 1)
     code, out, err = run_cli(capsys, *args, "--delta", "0.5", "--delta", "0.25")
     assert (code, out) == (2, "")
-    assert err == "error: BudgetExceededError: sweep needs 24584 walk steps, over the budget of 24583\n"
+    assert err == "error: BudgetExceededError: sweep needs 14898 window entries, over the budget of 14897\n"
 
 
 def test_sweep_charges_split_scan_rows_their_square(capsys, monkeypatch):
     # odd two-action rows up to the exact limit run the O(n^2) split scan:
-    # 253**2 + 4096 + 255**2 + 4096, and row 257 takes the bracket at the floor
+    # 253**2 + 1024 + 255**2 + 1024, and row 257 takes the bracket at the floor
     args = ["sweep", "--n-start", "253", "--n-stop", "257", "--k", "2", "--delta", "0.5"]
-    monkeypatch.setattr(lipgames.lipschitz, "MAX_SWEEP_STEPS", 141322)
+    monkeypatch.setattr(lipgames.lipschitz, "MAX_SWEEP_STEPS", 132106)
     code, out, err = run_cli(capsys, *args)
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 6
-    monkeypatch.setattr(lipgames.lipschitz, "MAX_SWEEP_STEPS", 141321)
+    monkeypatch.setattr(lipgames.lipschitz, "MAX_SWEEP_STEPS", 132105)
     code, out, err = run_cli(capsys, *args)
     assert (code, out) == (2, "")
-    assert err == "error: BudgetExceededError: sweep needs 141322 walk steps, over the budget of 141321\n"
-    # a k = 3 row is an O(n) walk sum, charged the floor like row 257 at k = 2
-    monkeypatch.setattr(lipgames.lipschitz, "MAX_SWEEP_STEPS", 4095)
+    assert err == "error: BudgetExceededError: sweep needs 132106 window entries, over the budget of 132105\n"
+    # a k = 3 row is an O(sqrt(n)) walk sum, charged the floor like row 257 at k = 2
+    monkeypatch.setattr(lipgames.lipschitz, "MAX_SWEEP_STEPS", 1023)
     for n, k in ((255, 3), (257, 2)):
-        with pytest.raises(BudgetExceededError, match="^sweep needs 4096 walk steps, "):
+        with pytest.raises(BudgetExceededError, match="^sweep needs 1024 window entries, "):
             lipgames.lipschitz._charge_sweep(range(n, n + 1), k, 1)
 
 
+def _sweep_grids(seed, count):
+    """``count`` seeded ``(rows, k)``: starts from 2 to 10**7 and steps from 1 to 10**5, both
+    log-uniform, at most 5,000 rows, k from 2 to 5."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        start, step = int(10 ** rng.uniform(math.log10(2), 7)), int(10 ** rng.uniform(0, 5))
+        yield range(start, start + step * rng.randrange(1, 5001) - step + 1, step), rng.randint(2, 5)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sweep_charge_never_exceeds_the_walk_step_charge(monkeypatch, seed):
+    # each grid is admitted under a budget of exactly the walk steps it was charged before,
+    # so a grid admitted under the unchanged limit stays admitted
+    scans = [(range(3, 256, 2), 2), (range(2, 257), 2), (range(63, 66), 2), (range(255, 10**7, 10**5), 2)]
+    for rows, k in [*scans, *_sweep_grids(seed, 250)]:
+        monkeypatch.setattr(lipgames.lipschitz, "MAX_SWEEP_STEPS", brute.sweep_walk_steps(rows, k))
+        lipgames.lipschitz._charge_sweep(rows, k, 1)
+
+
 def test_every_split_scan_row_lies_below_the_charge_floor():
-    # the sweep charges rows from the floor on in closed form, as n steps each;
-    # a split-scan row there would be charged n instead of n**2
+    # the sweep charges rows from the floor on the window of its largest row;
+    # a split-scan row there would be charged that instead of n**2
     floor = lipgames.lipschitz._MIN_ROW_STEPS
     scanned = [n for k in (2, 3, 4) for n in range(2, 4 * floor) if lipgames.lipschitz._runs_split_scan(n, k)]
     assert scanned and max(scanned) < floor
@@ -350,8 +375,9 @@ def test_oversized_two_action_sweep_is_refused_at_once(capsys):
                              "--delta", "0.5")
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
-    # the k = 3 charge plus n**2 - 4096 for each odd n in 65..255
-    assert err == ("error: BudgetExceededError: sweep needs 50000015741728 walk steps, "
+    # 9,999,999 rows at the window of row 10**7, 26,915 entries at k = 2, but
+    # n**2 for each odd n in 3..255 (the floor for n below 32)
+    assert err == ("error: BudgetExceededError: sweep needs 269149360944 window entries, "
                    "over the budget of 500000000\n")
 
 
@@ -721,7 +747,7 @@ HUGE = str(10**400)
          "ValueError: action count must be at most"),
         (("delta-star", "--n", "10", "--k", HUGE), 1, "ValueError: action count must be at most"),
         (("sweep", "--n-start", HUGE, "--n-stop", HUGE, "--k", "3", "--delta", "0.5"), 2,
-         "BudgetExceededError: sweep needs"),
+         "BudgetExceededError: binomial pmf needs over 2**1328 trials"),
         (("coupling", "--n", HUGE, "--k", "3", "--delta", "0.5"), 2, "BudgetExceededError: coupling needs"),
     ],
     ids=["lambda-n-k3", "lambda-n-k2", "lambda-odd-n-k2", "lambda-n-subnormal", "delta-star-n-k3",
@@ -772,10 +798,10 @@ def test_integer_options_list_every_int_option_of_every_command():
     assert declared == {(base[0], option) for base, options in INTEGER_OPTIONS.items() for option in options}
 
 
-def test_huge_player_count_meets_the_same_budget_as_a_billion(capsys):
+def test_huge_player_count_meets_the_same_budget_as_a_hundred_billion(capsys):
     for k, delta in (("3", "0.5"), ("2", "0.5"), ("4", "5e-324")):
         for argv in (("lambda", "--k", k, "--delta", delta), ("delta-star", "--k", k)):
-            codes = {run_cli(capsys, *argv, "--n", n)[0] for n in ("1000000000", HUGE)}
+            codes = {run_cli(capsys, *argv, "--n", n)[0] for n in ("100000000000", HUGE)}
             assert codes == {2}, argv
 
 

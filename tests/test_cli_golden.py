@@ -92,7 +92,7 @@ GOLDEN = [
      '"lambda_star": 0.0922350227554369, "n": 1000, "residual": 1.22291066162461e-13}\n'),
     ("delta-star --n 301 --k 2",
      "n = 301\nk = 2\ndelta_star = 0.0973524913643801\nlambda_star = 0.0973524912815495\n"
-     "epsilon = 0.19470498272876\nresidual = 8.28306173650262e-11\n"),
+     "epsilon = 0.19470498272876\nresidual = 8.28305896094506e-11\n"),
 ]
 
 SWEEP = ["sweep", "--n-start", "2", "--n-stop", "4", "--k", "2", "--delta", "0.5"]

@@ -1,6 +1,10 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lipgames
 from lipgames import CountDistribution, IntegerPmf
 
 
@@ -55,3 +59,24 @@ def test_one_sum_guard_tolerance(build):
     assert np.array_equal(build(np.array([0.5, 0.5 + 2e-12])).probs, [0.5, 0.5 + 2e-12])
     with pytest.raises(ValueError, match="sum"):
         build(np.array([0.5, 0.5 + 2e-11]))
+
+
+def test_one_function_sizes_every_window():
+    # window_span alone computes a window's width (its 12 sigma), and the pmf and both
+    # sweep and single-call charges read it
+    callers, widths = set(), set()
+    for path in sorted(Path(lipgames.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("window_span"):
+                    callers.add((path.stem, fn.name))
+                if isinstance(node, ast.Constant) and node.value == 12.0 and isinstance(node.value, float):
+                    widths.add((path.stem, fn.name))
+    assert widths == {("integer_pmf", "window_span")}
+    assert callers == {("integer_pmf", "binomial_window"), ("integer_pmf", "_mode_products"),
+                       ("lipschitz", "_charge")}
+    sweep = next(fn for fn in ast.walk(ast.parse(Path(lipgames.lipschitz.__file__).read_text()))
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "_charge_sweep")
+    assert "_charge" in {ast.unparse(node.func) for node in ast.walk(sweep) if isinstance(node, ast.Call)}

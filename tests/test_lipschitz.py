@@ -200,7 +200,9 @@ def test_lambda_strictly_decreases_in_delta_where_the_root_is_unique(k, ns):
 
 def test_bisection_stops_once_the_bracket_cannot_shrink(monkeypatch):
     # no double is within 1e-300 of the root, so the bisection must stop
-    # when its midpoint stops moving (about 60 evaluations) and not re-evaluate it
+    # when its midpoint stops moving and not re-evaluate it; at n = 300..329 the
+    # gap reaches exactly 0 at some double for about half the counts, and 307 is
+    # the odd count nearest 309 (the odd-bracket route) that stalls
     evaluations = []
     dispatch = lipschitz_module._dispatch
 
@@ -211,7 +213,7 @@ def test_bisection_stops_once_the_bracket_cannot_shrink(monkeypatch):
     monkeypatch.setattr(lipschitz_module, "_dispatch", counted)
     monkeypatch.setattr(lipschitz_module, "FIXED_POINT_TOL", 1e-300)
     with pytest.raises(IntegrityError, match="stalled"):
-        delta_fixed_point(309, 2)
+        delta_fixed_point(307, 2)
     assert len(evaluations) <= 100
     assert len(set(evaluations)) == len(evaluations)
 
@@ -446,13 +448,19 @@ def _refusal(call):
 
 @pytest.mark.parametrize("k", (2, 3))
 def test_early_charge_is_the_routes_own(monkeypatch, k):
-    # Under a budget of 100 trials, the checked call refuses exactly the player
-    # counts its unchecked route refuses, with the same message.
-    monkeypatch.setattr(integer_pmf, "MAX_TRIALS", 100)
-    refused = []
-    for n in range(90, 215):
-        route = _refusal(lambda: lipschitz_module._dispatch(n, k, 0.3))
-        assert _refusal(lambda: lipschitz_constant(n, k, 0.3)) == route
-        refused.append(route is not None)
-    first = 103 if k >= 3 else 203
-    assert refused == [n >= first for n in range(90, 215)]
+    # Under a budget of 1000 window entries, the checked call refuses exactly the player
+    # counts its unchecked route refuses, with the same message, where the route's rate is
+    # 1/2 (delta 3/4 at k = 3; delta (1 - delta/2) rounds to 1/2 at k = 2).  At a smaller
+    # rate the charge, which knows no delta, refuses every count the route refuses, and more.
+    monkeypatch.setattr(integer_pmf, "MAX_WINDOW", 1000)
+    widest, first = (0.75, 5855) if k >= 3 else (1 - 1e-9, 11707)
+    counts = range(first - 100, 2 * first, 7)
+    for delta in (widest, 0.3):
+        routes = [_refusal(lambda: lipschitz_module._dispatch(n, k, delta)) for n in counts]
+        charges = [_refusal(lambda: lipschitz_constant(n, k, delta)) for n in counts]
+        assert [c is not None for c in charges] == [n >= first for n in counts]
+        if delta == widest:
+            assert charges == routes
+        else:
+            assert {c is not None for c, r in zip(charges, routes) if r is not None} == {True}
+            assert any(r is None for n, r in zip(counts, routes) if n >= first)

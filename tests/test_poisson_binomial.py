@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -186,6 +188,16 @@ def test_two_block_reports_largest_tied_split(delta):
         # at odd n the mirror split n - l ties with l, so the larger one wins
         assert result.split > n / 2
         assert n - result.split in tied
+
+
+def test_collision_is_the_walk_sum_over_even_moves_and_squares_nothing():
+    # the window and the parity factor passage_prob reads, and no product of a pmf with itself
+    tree = ast.parse(inspect.getsource(binomial_collision_prob))
+    called = {ast.unparse(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert {"binomial_window", "rw._parity"} <= called
+    squares = [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.BinOp)
+               and (isinstance(node.op, ast.Pow) or ast.unparse(node.left) == ast.unparse(node.right))]
+    assert squares == []
 
 
 def test_collision_examples():

@@ -70,12 +70,13 @@ def test_no_call_builds_or_replaces_the_parity_table(monkeypatch):
     assert random_walk._PARITY is table and not table.flags.writeable
 
 
-def test_refusal_follows_the_trial_budget_and_leaves_the_table(monkeypatch):
-    monkeypatch.setattr(integer_pmf, "MAX_TRIALS", 100)
+def test_refusal_follows_the_window_budget_and_leaves_the_table(monkeypatch):
+    # up to 99 steps at rate 0.3 the window is the whole support, 101 entries at 100
+    monkeypatch.setattr(integer_pmf, "MAX_WINDOW", 100)
     table = random_walk._PARITY
-    assert passage_prob(100, 0.3) == pytest.approx(brute.passage_prob_by_parity(100, 0.3), rel=1e-15)
-    with pytest.raises(BudgetExceededError, match="binomial pmf needs 101 trials"):
-        passage_prob(101, 0.3)
+    assert passage_prob(99, 0.3) == pytest.approx(brute.passage_prob_by_parity(99, 0.3), rel=1e-15)
+    with pytest.raises(BudgetExceededError, match="^binomial pmf needs 101 window entries, "):
+        passage_prob(100, 0.3)
     assert random_walk._PARITY is table
 
 

@@ -1,14 +1,17 @@
 """The fast exact routes against 30- and 40-digit references and the slow routes.
 
-``passage_prob`` and ``binomial_collision_prob`` are O(sqrt(n)) sums over
-the window of ``binomial_window``, and ``two_block_max_prob`` is an O(n^2)
-scan of the points next to each split's mean; here they are held to a
-stated relative error bound against mpmath evaluations of the same
-definitions, up to ``MAX_TRIALS``, ``passage_prob`` is tied to the
-independent ``walk_pmf`` dynamic program, the window's entries bit for bit to
-the full-support ratio runs of ``brute.binomial_products`` and both sums to
-their full-support versions, and the split scan to the O(n^3) convolution
-scan it replaced.
+``passage_prob`` and ``binomial_collision_prob`` are one O(sqrt(n)) walk sum over
+the window of ``binomial_window``, the second over even moves only, and
+``two_block_max_prob`` is an O(n^2) scan of the points next to each split's
+mean; here they are held to a stated relative error bound against mpmath
+evaluations of their definitions (the collision as a sum of squares, not as the
+walk), computed up to 10**7 trials and pinned as 40-digit strings from 10**9 up
+to the widest window ``MAX_WINDOW`` admits.  ``passage_prob`` is also tied to
+the independent ``walk_pmf`` dynamic program and pinned bit for bit, the
+window's entries bit for bit to the full-support ratio runs of
+``brute.binomial_products``, both sums to their full-support versions, the
+collision to the squared window it replaced, and the split scan to the O(n^3)
+convolution scan it replaced.
 """
 
 import functools
@@ -27,7 +30,7 @@ from lipgames import (
     walk_pmf,
 )
 from lipgames import integer_pmf
-from lipgames.integer_pmf import MAX_TRIALS, binomial_window
+from lipgames.integer_pmf import MAX_WINDOW, binomial_window, window_span
 
 import brute
 
@@ -41,9 +44,12 @@ REL_BOUND = 1e-13
 #: (m = 4095) at deltas 0.37 / 0.61.
 SCAN_RANGE_REL_BOUND = 3e-13
 #: Largest relative error accepted against the 40-digit references from
-#: 2**14 to ``MAX_TRIALS`` trials; the largest measured is 6.9e-16
-#: (collision, m = 10**7, delta = 0.9).
+#: 2**14 trials to the widest window; the largest measured is 2.9e-16
+#: (passage, m = 10**7 - 2, r = 0.0125), 2.8e-16 for the collision.
 LARGE_REL_BOUND = 1e-15
+#: The same bound for the squared window the collision route replaced, up to
+#: 10**7 trials, where it measured 6.9e-16; it passes 1e-15 by 3 * 10**7.
+SQUARES_REL_BOUND = 1e-15
 #: Largest relative error accepted for one parity factor; the largest
 #: measured is 3.3e-16 (the series at i = 66, its first omitted term).
 PARITY_REL_BOUND = 4.5e-16
@@ -61,6 +67,37 @@ DELTAS = (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
 SPLIT_CASES = [(m, delta) for m in (1, 51, 253) for delta in (0.1, 0.37, 0.95)] + [(1023, 0.61)]
 #: The cross-check deltas, with the ends of the delta-star search range.
 SCAN_DELTAS = (1e-9, 0.01, 0.1, 0.37, 0.5, 0.61, 0.95, 1 - 1e-9)
+
+
+#: The largest trial count whose Binomial(m, 1/2) window ``MAX_WINDOW`` admits: 2**21 - 1
+#: entries, the widest window any closed form sums.
+WIDEST = 30539601284
+#: 40-digit references past the sizes a test run can afford to evaluate, printed by
+#: ``PYTHONPATH=src python tests/pin_references.py``: the passage sum and the collision
+#: probability by their definitions, at 10**9, 10**10 and ``WIDEST`` trials, and at a tiny
+#: rate just under 2**53.
+PINNED = {
+    ("passage", 10**9, 0.0125): "0.0002256758310777157072164033446447997874752",
+    ("passage", 10**9, 0.2): "0.00005641895829835666881816896635777731775793",
+    ("passage", 10**9, 0.5): "0.00003568248230075387085921985419938908361265",
+    ("passage", 10**10, 0.0125): "0.00007136496457206969168691585523191694468692",
+    ("passage", 10**10, 0.2): "0.00001784124115974358653418235928361689284446",
+    ("passage", 10**10, 0.5): "0.00001128379167024988875959124654687714345177",
+    ("passage", WIDEST, 0.0125): "0.00004083695706212896462958869837576587292693",
+    ("passage", WIDEST, 0.2): "0.00001020923926866625778390423226564147638771",
+    ("passage", WIDEST, 0.5): "0.000006456889853402699200116793965315949255483",
+    ("collision", 10**9, 0.05): "0.00005713770030081550081425414334126253874055",
+    ("collision", 10**9, 0.3): "0.00002498273467570592404307574319394112705654",
+    ("collision", 10**9, 0.9): "0.00001793112203629842833863643701004018430058",
+    ("collision", 10**10, 0.05): "0.00001806852728586802067264974375333880651406",
+    ("collision", 10**10, 0.3): "0.000007900234374670808031155171008997986543284",
+    ("collision", 10**10, 0.9): "0.000005670318664338969699707306892547982786266",
+    ("collision", WIDEST, 0.05): "0.00001033929851643446419305866987295849747659",
+    ("collision", WIDEST, 0.3): "0.000004520727133350737850415793869279004219139",
+    ("collision", WIDEST, 0.9): "0.000003244709235870002739908374610811137024178",
+    ("passage", 2**53 - 1, 1e-12): "0.008406963254234681912141923070285947665823",
+    ("collision", 2**53 - 1, 1e-12): "0.004203598303647660406297898316928109125516",
+}
 
 
 @functools.lru_cache(maxsize=None)
@@ -97,26 +134,27 @@ def collision_reference(m, delta):
 
 
 def _window_reference(m, p):
-    """``(lo, terms)``: Binomial(m, p) at 40 digits over ``[mode - W, mode + W]``.
+    """``(lo, terms)``: Binomial(m, p) at 40 digits over ``[mode - W, mode + W]``, upward.
 
     ``W = ceil(15 sigma) + 60`` is wider than the library's window.  The
-    mode's term is anchored by ``loggamma``, and the others follow by the
-    ratio recursion outward.  Call within ``workdps(40)``.
+    lowest term is anchored by ``loggamma``, and ``terms`` yields the others
+    by the ratio recursion one at a time, so a window of millions of terms
+    holds none of them in memory.  Call and iterate within ``workdps(40)``.
     """
     p = mpmath.mpf(p)
     odds = p / (1 - p)
     mode = min(int(mpmath.floor((m + 1) * p)), m)
     w = math.ceil(15 * math.sqrt(m * float(p * (1 - p)))) + 60
     lo, hi = max(0, mode - w), min(m, mode + w)
-    anchor = mpmath.exp(mpmath.loggamma(m + 1) - mpmath.loggamma(mode + 1) - mpmath.loggamma(m - mode + 1)
-                        + mode * mpmath.log(p) + (m - mode) * mpmath.log(1 - p))
-    up = [anchor]
-    for j in range(mode, hi):
-        up.append(up[-1] * odds * (m - j) / (j + 1))
-    down = [anchor]
-    for j in range(mode - 1, lo - 1, -1):
-        down.append(down[-1] * (j + 1) / (odds * (m - j)))
-    return lo, down[:0:-1] + up
+
+    def terms():
+        term = mpmath.exp(mpmath.loggamma(m + 1) - mpmath.loggamma(lo + 1) - mpmath.loggamma(m - lo + 1)
+                          + lo * mpmath.log(p) + (m - lo) * mpmath.log(1 - p))
+        for j in range(lo, hi + 1):
+            yield term
+            term *= odds * (m - j) / (j + 1)
+
+    return lo, terms()
 
 
 def _central_reference(i):
@@ -150,8 +188,10 @@ def large_passage_reference(m, r):
 def large_collision_reference(m, delta):
     """sum_i Bin(m, delta/2)(i)^2 at 40 digits over a wide window."""
     with mpmath.workdps(40):
-        _, terms = _window_reference(m, mpmath.mpf(delta) / 2)
-        return mpmath.fsum(term * term for term in terms)
+        total = mpmath.mpf(0)
+        for term in _window_reference(m, mpmath.mpf(delta) / 2)[1]:
+            total += term * term
+        return total
 
 
 def _split_point(l, r, t, q):
@@ -286,6 +326,47 @@ def test_collision_within_bound_of_40_digit_reference(m, delta):
     assert abs(binomial_collision_prob(m, delta) - ref) <= LARGE_REL_BOUND * ref
 
 
+@pytest.mark.parametrize("m", (10**5, 10**6, 10**7))
+@pytest.mark.parametrize("delta", (0.05, 0.3, 0.9))
+def test_squared_collision_within_its_bound_up_to_ten_million(m, delta):
+    # the sum of squares the walk route replaced, against the same references
+    ref = large_collision_reference(m, delta)
+    assert abs(brute.collision_prob_by_squares(m, delta) - ref) <= SQUARES_REL_BOUND * ref
+
+
+def test_widest_is_the_largest_count_the_window_budget_admits():
+    lo, _, hi = window_span(WIDEST, 0.5)
+    assert hi - lo + 1 == MAX_WINDOW - 1
+    with pytest.raises(BudgetExceededError, match=f"^binomial pmf needs {MAX_WINDOW + 1} window entries, "):
+        window_span(WIDEST + 1, 0.5)
+
+
+@pytest.mark.parametrize("route,m,x", list(PINNED), ids=str)
+def test_closed_forms_within_bound_of_pinned_40_digit_reference(route, m, x):
+    value = (passage_prob if route == "passage" else binomial_collision_prob)(m, x)
+    with mpmath.workdps(40):
+        ref = mpmath.mpf(PINNED[route, m, x])
+        assert abs(value - ref) <= LARGE_REL_BOUND * ref
+
+
+#: ``passage_prob`` as ``float.hex``, so no change to the window or parity code it shares
+#: with the collision moves the k >= 3 route unseen: step counts on both sides of 2**14,
+#: and windows of moves that cross the parity table's end.
+PASSAGE_BITS = {
+    (10, 0.2): "0x1.05ccdb61fc4eap-1", (10, 0.6): "0x1.3bad6c1047c17p-2",
+    (2011, 0.2): "0x1.45c1a7a61056ep-5", (2011, 0.6): "0x1.783aa75092f10p-6",
+    (16383, 0.2): "0x1.c8b8ca2859c90p-7", (16383, 0.6): "0x1.07b1f75cd931ep-7",
+    (16385, 0.2): "0x1.c8b1a78c8c699p-7", (16385, 0.6): "0x1.07add8b072d34p-7",
+    (27307, 0.6): "0x1.988173f0875fdp-8", (81920, 0.2): "0x1.98830c6dcd0ecp-8",
+    (10**6, 0.2): "0x1.d3b26c45c47a2p-10", (10**6, 0.6): "0x1.0e066bb41c566p-10",
+}
+
+
+@pytest.mark.parametrize("n,r", list(PASSAGE_BITS))
+def test_passage_bits_are_pinned(n, r):
+    assert passage_prob(n, r).hex() == PASSAGE_BITS[n, r]
+
+
 @pytest.mark.parametrize("j", (127, 128, 2**14 - 1, 2**14, 10**5, 10**7))
 def test_parity_factor_within_bound_of_40_digit_reference(j):
     # 127 is the last exact entry, 128 the first series entry of the table,
@@ -320,35 +401,48 @@ def test_collision_equals_the_full_support_sum(delta):
         assert abs(binomial_collision_prob(m, delta) - full) <= FULL_SUPPORT_REL_TOL * full, m
 
 
+def _refused_peak(call, message):
+    """The traced peak of ``call()``, which must refuse with ``message``, the parity table untouched."""
+    table = random_walk._PARITY
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceededError, match=message):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert random_walk._PARITY is table
+    return peak
+
+
 @pytest.mark.parametrize("route", (passage_prob, binomial_collision_prob), ids=("passage", "collision"))
 def test_closed_forms_refuse_one_trial_over_budget_before_allocating(route):
-    table = random_walk._PARITY
-    tracemalloc.start()
-    try:
-        with pytest.raises(BudgetExceededError, match="binomial pmf needs 10000001 trials"):
-            route(MAX_TRIALS + 1, 0.5)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
-    assert random_walk._PARITY is table
+    # from 2**53 on the window's float64 indices are inexact, however narrow the window
+    peak = _refused_peak(lambda: route(2**53, 1e-12), "^binomial pmf needs 9007199254740992 trials, ")
+    assert peak < 64 * 1024
 
 
-@pytest.mark.parametrize("route,arg,p", ((passage_prob, 0.5, 0.5), (binomial_collision_prob, 0.9, 0.45)),
+# the rates whose window is widest: 1/2, and delta (1 - delta/2) rounded to 1/2
+@pytest.mark.parametrize("route,arg", ((passage_prob, 0.5), (binomial_collision_prob, 1 - 1e-9)),
                          ids=("passage", "collision"))
-def test_closed_forms_peak_memory_is_linear_in_the_window(route, arg, p):
-    # the widest windows at the limit, r(1 - r) at or near its largest:
-    # 38,029 and 37,839 entries, where the full support would be 10**7
-    m = MAX_TRIALS - 2
-    size = binomial_window(m, p)[1].size
+def test_closed_forms_refuse_one_entry_over_the_window_before_allocating(route, arg):
+    message = f"^binomial pmf needs {MAX_WINDOW + 1} window entries, over the budget of {MAX_WINDOW}$"
+    assert _refused_peak(lambda: route(WIDEST + 1, arg), message) < 64 * 1024
+
+
+@pytest.mark.parametrize("route,arg", ((passage_prob, 0.5), (binomial_collision_prob, 1 - 1e-9)),
+                         ids=("passage", "collision"))
+def test_closed_forms_peak_memory_is_linear_in_the_window(route, arg):
+    # the widest admitted window, 2**21 - 1 entries, where the full support would be 3 * 10**10
+    lo, _, hi = window_span(WIDEST, 0.5)
     table = random_walk._PARITY
     tracemalloc.start()
     try:
-        route(m, arg)
+        route(WIDEST, arg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 64 * 1024 + 40 * size
+    assert peak <= 64 * 1024 + 40 * (hi - lo + 1)
     assert random_walk._PARITY is table
 
 
