@@ -28,9 +28,10 @@ METHOD_EVEN_WALK = "even-walk"
 METHOD_ODD_BRACKET = "odd-bracket"
 METHOD_ORACLE = "oracle"
 
-#: Largest odd n for which the dispatcher runs the O(n^2) exact split
-#: maximum for two-action games; beyond it, odd n reports the bracket
-#: midpoint.  Even n always uses the O(sqrt(n)) collision formula.
+#: Largest odd n for which the dispatcher runs the exact split maximum for
+#: two-action games, a march over the splits that takes 0.15 ms at n = 255;
+#: beyond it, odd n reports the bracket midpoint.  Even n always uses the
+#: O(sqrt(n)) collision formula.
 TWO_ACTION_EXACT_LIMIT = 256
 
 #: Largest charge of one sweep (:func:`_charge_sweep`), in window entries: each row costs the
@@ -38,7 +39,9 @@ TWO_ACTION_EXACT_LIMIT = 256
 #: least its fixed cost ``_MIN_ROW_STEPS``.  Measured by ``lipschitz_constant`` calls (in
 #: process, 2-core host): 0.02-0.03 ms a row up to n = 4095, then 25-40 ns an entry.  The worst
 #: grids admitted, 238 rows at the widest window (k = 3, delta = 0.75), k = 3 rows 2-4095 at 119
-#: deltas and odd k = 2 rows 3-255 at 178, took 18.2, 13.5 and 10.3 s.
+#: deltas and odd k = 2 rows 3-255 at 178, took 18.2, 13.5 and 10.3 s; the last took 15.5 s
+#: with the table scan and 7.7 s with the march on a slower run of the same host, but 76 s
+#: (extrapolated from 20 deltas) at deltas near 1e-9, where every split is evaluated exactly.
 MAX_SWEEP_STEPS = 5 * 10**8
 _MIN_ROW_STEPS = 1 << 10
 
@@ -104,10 +107,10 @@ def lipschitz_two_action(n: int, delta: float) -> LambdaResult:
     """Exact two-action constant for any n, even or odd.
 
     ``(1 - delta)`` times the split Bernoulli maximum over n - 2 terms.
-    The split scan costs O(n^2) and refuses n - 2 above
-    :data:`~lipgames.poisson_binomial.SPLIT_SCAN_LIMIT`.
-    :func:`lipschitz_constant` scans only at odd n; at even n it takes the
-    O(sqrt(n)) :func:`lipschitz_two_action_even`, which this scan cross-checks.
+    Its march over the splits costs O(n log n) time and O(n) memory and
+    refuses n - 2 above :data:`~lipgames.poisson_binomial.SPLIT_SCAN_LIMIT`.
+    :func:`lipschitz_constant` marches only at odd n; at even n it takes the
+    O(sqrt(n)) :func:`lipschitz_two_action_even`, which this march cross-checks.
     """
     n, _, delta = checks.instance(n, 2, delta)
     value = _two_action(n, delta)
@@ -180,7 +183,10 @@ def _charge(n, k) -> int:
 def _charge_sweep(rows, k, columns) -> None:
     """Refuse ``columns`` deltas at each n of ``rows`` past :data:`MAX_SWEEP_STEPS`: each row at the
     largest row's :func:`_charge`, a split-scan row (all lie below the floor) at n**2, none below
-    the floor.  The rows are counted without ``len``, which fails past ``sys.maxsize`` of them."""
+    the floor.  The rows are counted without ``len``, which fails past ``sys.maxsize`` of them.
+    The n**2 of a split-scan row is the O(n^2) table scan's cost, kept as an over-charge of the
+    march that replaced it: about 10x at deltas in [0.05, 0.95], though 3-5x under it near
+    delta = 1e-9, where every split is evaluated exactly."""
     row = max(_charge(rows[-1], k), _MIN_ROW_STEPS)
     small = range(rows.start, min(rows.stop, _MIN_ROW_STEPS), rows.step)
     scans = sum(max(n * n, _MIN_ROW_STEPS) - row for n in small if _runs_split_scan(n, k))
@@ -216,7 +222,7 @@ def _odd_bracket(n, delta) -> tuple[float, float]:
 
 
 def _runs_split_scan(n, k) -> bool:
-    """Whether :func:`_dispatch` runs the O(n^2) split scan at (n, k)."""
+    """Whether :func:`_dispatch` runs the split maximum's march at (n, k)."""
     return k == 2 and n % 2 == 1 and n <= TWO_ACTION_EXACT_LIMIT
 
 

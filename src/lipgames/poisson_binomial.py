@@ -4,8 +4,9 @@ A Poisson Binomial (PB) variable here is a sum of independent Bernoulli
 terms, each optionally negated, plus an integer shift.  Pmfs are exact
 sequential convolutions.  The module also provides the two quantities that
 drive the two-action Lipschitz analysis: the largest point probability of a
-split Bernoulli sum (:func:`two_block_max_prob`, an O(n^2) scan of the
-points next to each split's mean) and the probability that two i.i.d.
+split Bernoulli sum (:func:`two_block_max_prob`, an O(n log n) march over the
+splits that screens the two points next to each split's mean, then an exact
+evaluation of the near-best splits) and the probability that two i.i.d.
 binomials coincide (:func:`binomial_collision_prob`, the O(sqrt(n)) walk sum
 of :mod:`lipgames.random_walk` over even moves).
 """
@@ -16,7 +17,6 @@ import math
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import checks, random_walk as rw
 from .errors import IntegrityError
@@ -26,16 +26,24 @@ from .integer_pmf import IntegerPmf, binomial_window
 DUAL_ROUTE_TOL = 1e-12
 
 #: Split maxima within this fraction of the largest count as ties.  The
-#: scan never evaluates both ``l`` and ``n - l`` (their sums mirror each
-#: other), so the ties left are splits whose peaks converge as delta -> 1,
-#: where rounding alone would otherwise pick the reported witness.
+#: march never evaluates both ``l`` and ``n - l`` (their sums mirror each
+#: other), so the ties left are splits whose peaks converge as delta -> 0
+#: or 1, where rounding alone would otherwise pick the reported witness.
 TIE_TOL = 1e-12
 
-#: Largest term count :func:`two_block_max_prob` accepts.  The split scan
-#: costs O(n^2) time and about 10 n^2 bytes: 25 ms and 168 MB at the limit
-#: (2-core host, numpy 2.4), 7 ms and 42 MB at half of it.  Its relative
-#: error against 30-digit mpmath grows linearly in n, to 2.3e-13 measured
-#: at 4095 terms; the tests hold it below 3e-13 up to the limit.
+#: Splits whose marched peak lies within this fraction of the largest are evaluated
+#: exactly.  The march stays within 2.3e-14 of the exact points, relative to the maximum,
+#: up to :data:`SPLIT_SCAN_LIMIT` terms at deltas from 1e-300 to 1 - 1e-13, so the
+#: split attaining the maximum always lies in the band.  Below a delta of about 1e-6 or
+#: above about 1 - 1e-8 most or all splits lie in it: up to 7.7 ms at 253 terms and
+#: 170 ms at 4095.
+_SCREEN_BAND = 1e-9
+
+#: Largest term count :func:`two_block_max_prob` accepts.  The march costs
+#: O(n log n) time and O(n) memory: 1.1-1.5 ms and a traced peak of 0.35 MB
+#: at the limit (2-core host, numpy 2.4), where the Binomial-table scan it
+#: replaced took 56 ms and 168 MB.  Its value is within 3.2e-16 of 30-digit
+#: mpmath at 4095 terms; the tests hold it below 1e-15 up to the limit.
 SPLIT_SCAN_LIMIT = 2**12
 
 #: Largest term count of :func:`pb_pmf` and the three functions built on it,
@@ -146,18 +154,63 @@ class TwoBlockMax(NamedTuple):
     point: int
 
 
-def _binomial_table(n: int, p: float, pad: int, width: int) -> np.ndarray:
-    """Binomial(j, p) pmf in row j at columns ``pad .. pad + j``, zeros elsewhere.
+def _march(n: int, q: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Splits ``l = n .. ceil(n/2)``, the floor ``f`` of each one's mean, and its point
+    probabilities at ``f`` and ``f + 1``, the two outcomes where Darroch (1964) puts its peak.
 
-    Each row is the previous one convolved with one Bernoulli(p) term.
+    Split ``l`` has the generating function ``G_l = A**l B**(n - l)`` with ``A = 1 - q + qx``
+    and ``B = q + (1 - q)x``, and its mean ``n - l + (2l - n) q`` has the floor ``f`` taken
+    on the exact integer part.  ``G_{l-1} = G_l B / A`` gives two exact lowering identities in
+    the point probabilities ``g_l(t)``, with ``rho = q / (1 - q)``:
+
+    - (L1) ``l g_{l-1}(t) = (n - t + 1) g_l(t - 1) + rho (l - t) g_l(t)``;
+    - (L2) ``l g_{l-1}(t) = (t + 1) g_l(t + 1) + (t - n + l) g_l(t) / rho``.
+
+    A step from ``l`` to ``l - 1`` keeps the floor or raises it by one.  If it keeps it, the
+    new pair is (L2) at ``f`` and (L1) at ``f + 1``.  If it raises it, (L1) at ``f + 1``
+    comes first, then (L1) at ``f + 2``, with ``rho g_l(f + 2)`` from (L2) at ``f + 1``.
+    Every entry of these 2x2 maps is nonnegative for ``l > n/2``, so their products carry
+    no cancellation; they are taken for every split at once by doubling, from the
+    Binomial(n, q) window at ``l = n``.  Time and memory are O(n log n) and O(n).
     """
-    table = np.zeros((n + 1, width))
-    table[0, pad] = 1.0
-    row, kernel = table[0, pad : pad + 1], np.array([1.0 - p, p])
-    for j in range(1, n + 1):
-        row = np.convolve(row, kernel)
-        table[j, pad : pad + j + 1] = row
-    return table
+    rho = q / (1.0 - q)
+    split = np.arange(n, (n - 1) // 2, -1)
+    floor = (n - split) + np.floor((2 * split - n) * q).astype(np.int64)
+    lo, probs = binomial_window(n, q)
+    start = np.append(probs, 0.0)[floor[0] - lo : floor[0] - lo + 2]
+    l, f = split[:-1].astype(np.float64), floor[:-1].astype(np.float64)
+    # Coefficients over (g_l(f), g_l(f + 1)) of g_{l-1}(f) by (L2) in coef[0:2], of
+    # g_{l-1}(f + 1) by (L1) in coef[2:4] and of g_{l-1}(f + 2) by (L1) after (L2) in coef[4:6]:
+    # a kept floor's map is coef[0:4], a raised one's coef[2:6].
+    coef = np.zeros((6, l.size))
+    a = f - n + l
+    np.divide(a, rho * l, out=coef[0], where=a > 0)
+    coef[1] = (f + 1) / l
+    coef[2] = (n - f) / l
+    coef[3] = rho * (l - f - 1) / l
+    u = rho * (l - f - 2) / (f + 2)
+    coef[4] = u * coef[2]
+    coef[5] = u * coef[3] + (n - l + 1) / (f + 2)
+    maps = np.where(floor[1:] == floor[:-1], coef[:4], coef[2:]).T.reshape(-1, 2, 2)
+    # maps[i] becomes the product of maps i, i - 1, ..., 0: the step from l = n to split[i + 1]
+    d = 1
+    while d < maps.shape[0]:
+        maps[d:] = maps[d:] @ maps[:-d]
+        d *= 2
+    return split, floor, np.concatenate((start[None], maps @ start))
+
+
+def _split_points(n: int, l: int, f: int, q: float) -> tuple[float, float]:
+    """Point probabilities of split ``l`` at ``f`` and ``f + 1``, from two Binomial windows.
+
+    The sum is Binomial(l, q) plus ``n - l`` minus Binomial(n - l, q), so its law near the
+    mean is the convolution of the first window with the second one reversed.
+    """
+    lo, first = binomial_window(l, q)
+    lo_rest, rest = binomial_window(n - l, q)
+    law = np.append(np.convolve(first, rest[::-1]), 0.0)
+    i = f - (lo + n - l - lo_rest - rest.size + 1)
+    return float(law[i]), float(law[i + 1])
 
 
 def two_block_max_prob(n: int, delta: float) -> TwoBlockMax:
@@ -173,34 +226,27 @@ def two_block_max_prob(n: int, delta: float) -> TwoBlockMax:
     itself.  ``n = 0`` gives probability 1 at outcome 0.  Counts above
     :data:`SPLIT_SCAN_LIMIT` raise :class:`~lipgames.errors.BudgetExceededError`.
 
-    The scan is O(n^2).  Split ``n - l`` has the law of ``n`` minus the sum
-    of split ``l``, so only the splits ``l >= n/2`` are scanned, and a
-    Poisson Binomial law peaks at the floor or ceiling of its mean (Darroch
-    1964), so each split needs only the four outcomes from one below the
-    floor of its mean to two above it.
+    Split ``n - l`` has the law of ``n`` minus the sum of split ``l``, so only
+    the splits ``l >= n/2`` are screened, each at the two outcomes next to its
+    mean, by the O(n log n) march of :func:`_march`.  The per-split peak has many
+    local maxima in ``l``, so every split is screened.  Each split whose
+    screened peak lies within ``_SCREEN_BAND`` of the largest is then
+    evaluated exactly from two Binomial windows, and the tie rules read those
+    exact values alone.
     """
     n, delta = checks.count(n, "term count"), checks.delta(delta)
     checks.budget(n, SPLIT_SCAN_LIMIT, "split scan", "terms")
     q = 0.5 * delta
-    half = n // 2
-    # Splits l = n - r for r = 0..half, largest first.  As Binomial(r, 1 - q)
-    # is r - Binomial(r, q), P(X = t) is the dot product of row r with row l
-    # read from column t - r on; the four outcomes are four consecutive
-    # windows of one copied stretch of row l.
-    short = np.arange(half + 1)
-    split = n - short
-    floor = np.floor(split * q + short * (1.0 - q)).astype(np.int64)
-    start = floor - 1 - short
-    pad = max(0, -int(start.min()))
-    table = _binomial_table(n, q, pad, pad + max(n + 1, int(start.max()) + half + 4))
-    stretches = sliding_window_view(table, half + 4, axis=1)[split, pad + start]
-    probs = np.einsum("ijk,ik->ij", sliding_window_view(stretches, half + 1, axis=1),
-                      table[: half + 1, pad : pad + half + 1])
-    peaks = probs.max(axis=1)
-    best = float(peaks.max())
-    i = int(np.argmax(peaks >= best * (1.0 - TIE_TOL)))
-    outcome = int(np.argmax(probs[i] >= peaks[i] * (1.0 - TIE_TOL)))
-    return TwoBlockMax(best, int(split[i]), int(floor[i]) - 1 + outcome)
+    split, floor, screened = _march(n, q)
+    peaks = screened.max(axis=1)
+    near = np.flatnonzero(peaks >= peaks.max() * (1.0 - _SCREEN_BAND))
+    exact = [_split_points(n, int(split[i]), int(floor[i]), q) for i in near]
+    best = max(map(max, exact))
+    # splits run largest first
+    i = next(i for i, pair in enumerate(exact) if max(pair) >= best * (1.0 - TIE_TOL))
+    low, high = exact[i]
+    outcome = 0 if low >= max(low, high) * (1.0 - TIE_TOL) else 1
+    return TwoBlockMax(best, int(split[near[i]]), int(floor[near[i]]) + outcome)
 
 
 def binomial_collision_prob(n: int, delta: float) -> float:
@@ -213,4 +259,5 @@ def binomial_collision_prob(n: int, delta: float) -> float:
     """
     n, delta = checks.count(n, "term count"), checks.delta(delta)
     lo, moves = binomial_window(n, delta * (1.0 - 0.5 * delta))
-    return float((moves[lo % 2 :: 2] * rw._parity(lo, moves.size)[lo % 2 :: 2]).sum())
+    odd = lo % 2
+    return float((moves[odd::2] * rw._parity(lo + odd, moves.size - odd, 2)).sum())

@@ -70,16 +70,17 @@ _EXACT_PARITY = 128
 _SERIES = (1.0, -1 / 8, 1 / 128, 5 / 1024, -21 / 32768, -399 / 262144, 869 / 4194304)
 
 
-def _parity_series(lo: int, hi: int) -> np.ndarray:
-    """``f[j] = C(j, floor(j/2)) / 2**j`` for ``j`` in ``lo..hi - 1``, ``lo >= 128``.
+def _parity_series(lo: int, hi: int, step: int = 1) -> np.ndarray:
+    """``f[j] = C(j, floor(j/2)) / 2**j`` for ``j`` in ``range(lo, hi, step)``, ``lo >= 128``.
 
     ``f[j] = C(2i, i) / 4**i`` with ``i = ceil(j/2)``, each entry by the
     series of :data:`_SERIES` on its own, so no error accumulates across
-    entries.  Measured against 40-digit mpmath at every i from 64 to 3000
-    and at 3000 points up to 5e6, it is within 3.3e-16 relative, the first
-    omitted term dominating near i = 64.
+    entries and a ``step`` of 2 gives each entry's bits unchanged.  Measured
+    against 40-digit mpmath at every i from 64 to 3000 and at 3000 points up
+    to 5e6, it is within 3.3e-16 relative, the first omitted term dominating
+    near i = 64.
     """
-    i = np.arange(lo, hi, dtype=np.float64)
+    i = np.arange(lo, hi, step, dtype=np.float64)
     i *= 0.5
     np.ceil(i, out=i)
     x = np.reciprocal(i)
@@ -106,12 +107,18 @@ def _parity_table() -> np.ndarray:
 _PARITY = _parity_table()
 
 
-def _parity(lo: int, size: int) -> np.ndarray:
-    """``f[lo : lo + size]``: read from :data:`_PARITY`, the series past its end."""
+def _parity(lo: int, size: int, step: int = 1) -> np.ndarray:
+    """``f[lo : lo + size : step]``: read from :data:`_PARITY`, the series past its end.
+
+    A ``step`` of 2 takes every other move from ``lo``, as the collision sum
+    takes the even ones, and the series resumes at the first such move past
+    the table.
+    """
     hi = lo + size
     if hi <= _PARITY.size:
-        return _PARITY[lo:hi]
-    return np.concatenate((_PARITY[lo:], _parity_series(max(lo, _PARITY.size), hi)))
+        return _PARITY[lo:hi:step]
+    start = max(lo, _PARITY.size + (lo - _PARITY.size) % step)
+    return np.concatenate((_PARITY[lo::step], _parity_series(start, hi, step)))
 
 
 def passage_prob(n: int, r: float) -> float:

@@ -5,12 +5,15 @@ Bernoulli words, full action profiles) and never calls into the library's
 dynamic programs, so agreement is meaningful.  The exceptions are the
 slow routes the library replaced, kept as cross-checks at sizes enumeration
 cannot reach: :func:`split_scan`, the O(n^3) convolution scan behind the
-split maximum, :func:`bisect_fixed_point`, the plain bisection behind
+split maximum, :func:`table_split_scan`, the O(n^2) Binomial-table scan the
+split maximum's march replaced, :func:`bisect_fixed_point`, the plain bisection behind
 ``delta_fixed_point``, :func:`passage_prob_by_parity`, the full-length
 parity product the windowed ``passage_prob`` replaced, :func:`binomial_probs`, the
 full-support pmf whose window ``integer_pmf.binomial_window`` keeps,
 :func:`collision_prob_by_squares`, the squared window ``binomial_collision_prob``
-summed before it became the walk's return to 0, :func:`sweep_walk_steps`, the
+summed before it became the walk's return to 0,
+:func:`collision_prob_by_all_parities`, that return with the parity factor
+built at odd moves too, :func:`sweep_walk_steps`, the
 walk-step charge the sweep made before it charged window entries,
 :func:`scan_eps_nash`, the
 per-profile equilibrium scan behind ``find_eps_nash``, and
@@ -24,6 +27,7 @@ from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from lipgames import (
     RegretReport,
@@ -32,6 +36,7 @@ from lipgames import (
     count_vector_rank,
     count_vectors,
     lipschitz_constant,
+    random_walk,
 )
 from lipgames.integer_pmf import binomial_window
 from lipgames.poisson_binomial import TIE_TOL
@@ -134,6 +139,51 @@ def split_scan(n, delta):
     return best, split, int(np.argmax(pmf >= pmf.max() * (1.0 - TIE_TOL)))
 
 
+def _binomial_table(n, p, pad, width):
+    """Binomial(j, p) pmf in row j at columns ``pad .. pad + j``, zeros elsewhere.
+
+    Each row is the previous one convolved with one Bernoulli(p) term.
+    """
+    table = np.zeros((n + 1, width))
+    table[0, pad] = 1.0
+    row, kernel = table[0, pad : pad + 1], np.array([1.0 - p, p])
+    for j in range(1, n + 1):
+        row = np.convolve(row, kernel)
+        table[j, pad : pad + j + 1] = row
+    return table
+
+
+def table_split_scan(n, delta):
+    """Split-sum maximum from a table of every Binomial(j, delta/2) row, O(n^2).
+
+    Returns ``(value, split, point)`` under the library's tie rule, as
+    :func:`split_scan` does.  Only the splits ``l >= n/2`` are scanned, at the
+    four outcomes from one below the floor of each split's mean to two above it.
+    Its relative error grows linearly in n, to 2.3e-13 at 4095 terms, and it
+    takes about 10 n^2 bytes.
+    """
+    q = 0.5 * delta
+    half = n // 2
+    # Splits l = n - r for r = 0..half, largest first.  As Binomial(r, 1 - q)
+    # is r - Binomial(r, q), P(X = t) is the dot product of row r with row l
+    # read from column t - r on; the four outcomes are four consecutive
+    # windows of one copied stretch of row l.
+    short = np.arange(half + 1)
+    split = n - short
+    floor = np.floor(split * q + short * (1.0 - q)).astype(np.int64)
+    start = floor - 1 - short
+    pad = max(0, -int(start.min()))
+    table = _binomial_table(n, q, pad, pad + max(n + 1, int(start.max()) + half + 4))
+    stretches = sliding_window_view(table, half + 4, axis=1)[split, pad + start]
+    probs = np.einsum("ijk,ik->ij", sliding_window_view(stretches, half + 1, axis=1),
+                      table[: half + 1, pad : pad + half + 1])
+    peaks = probs.max(axis=1)
+    best = float(peaks.max())
+    i = int(np.argmax(peaks >= best * (1.0 - TIE_TOL)))
+    outcome = int(np.argmax(probs[i] >= peaks[i] * (1.0 - TIE_TOL)))
+    return best, int(split[i]), int(floor[i]) - 1 + outcome
+
+
 def passage_prob_by_parity(n, r):
     """P(lazy walk in {0, 1} after n steps) with the factor built over all n moves.
 
@@ -181,6 +231,14 @@ def collision_prob_by_squares(m, delta):
     """
     _, pmf = binomial_window(m, 0.5 * delta)
     return float((pmf * pmf).sum())
+
+
+def collision_prob_by_all_parities(m, delta):
+    """``binomial_collision_prob`` with the parity factor built at every move of its window,
+    odd ones included, and the even ones kept: past the 2**14-entry table the series
+    then runs over twice the moves the sum uses."""
+    lo, moves = binomial_window(m, delta * (1.0 - 0.5 * delta))
+    return float((moves[lo % 2 :: 2] * random_walk._parity(lo, moves.size)[lo % 2 :: 2]).sum())
 
 
 def sweep_walk_steps(rows, k):

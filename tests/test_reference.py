@@ -2,20 +2,24 @@
 
 ``passage_prob`` and ``binomial_collision_prob`` are one O(sqrt(n)) walk sum over
 the window of ``binomial_window``, the second over even moves only, and
-``two_block_max_prob`` is an O(n^2) scan of the points next to each split's
-mean; here they are held to a stated relative error bound against mpmath
+``two_block_max_prob`` is an O(n log n) march over the splits that screens the
+two points next to each split's mean, then evaluates the near-best splits
+exactly from two Binomial windows; here they are held to a stated relative
+error bound against mpmath
 evaluations of their definitions (the collision as a sum of squares, not as the
 walk), computed up to 10**7 trials and pinned as 40-digit strings from 10**9 up
 to the widest window ``MAX_WINDOW`` admits.  ``passage_prob`` is also tied to
 the independent ``walk_pmf`` dynamic program and pinned bit for bit, the
 window's entries bit for bit to the full-support ratio runs of
 ``brute.binomial_products``, both sums to their full-support versions, the
-collision to the squared window it replaced, and the split scan to the O(n^3)
-convolution scan it replaced.
+collision to the squared window it replaced and bit for bit to its parity
+factor over every move, and the split maximum's witness to the O(n^3)
+convolution scan and to the O(n^2) Binomial-table scan the march replaced.
 """
 
 import functools
 import math
+import random
 import tracemalloc
 
 import mpmath
@@ -29,20 +33,31 @@ from lipgames import (
     two_block_max_prob,
     walk_pmf,
 )
-from lipgames import integer_pmf
+from lipgames import integer_pmf, poisson_binomial
 from lipgames.integer_pmf import MAX_WINDOW, binomial_window, window_span
 
 import brute
 
 #: Largest relative error accepted against the 30-digit references; the
-#: largest measured on these grids is about 5.8e-14 (split maximum, m = 1023,
-#: delta = 0.61), about 3.3e-15 for the O(n) sums (passage, m = 16384).
+#: largest measured on these grids is about 3.3e-15 (passage, m = 16384).
 REL_BOUND = 1e-13
-#: The split scan's bound over its whole accepted range, up to
-#: ``SPLIT_SCAN_LIMIT`` terms: its table's convolution chain drifts linearly
-#: in m, measured at 1.12 / 1.15e-13 (m = 2047) and 2.26 / 2.29e-13
-#: (m = 4095) at deltas 0.37 / 0.61.
-SCAN_RANGE_REL_BOUND = 3e-13
+#: The same for the split maximum at ``SPLIT_CASES``: its value is an exact
+#: evaluation from two Binomial windows, measured within 2.4e-16 (m = 51,
+#: delta = 0.37); the bound leaves a margin of 4x.
+SPLIT_REL_BOUND = 1e-15
+#: The split maximum's bound over its whole accepted range, up to
+#: ``SPLIT_SCAN_LIMIT`` terms, at the reported witness: measured within
+#: 3.2e-16 at m = 2047 and 4095 (4095, delta = 0.9); the bound leaves a
+#: margin of 3x.
+SCAN_RANGE_REL_BOUND = 1e-15
+#: Largest gap accepted between the march's screened points and their exact values,
+#: relative to the maximum: measured within 2.3e-14 at m = 4095 over deltas from
+#: 1e-300 to 1 - 1e-13.  The screen band must be wider than twice this.
+MARCH_REL_BOUND = 1e-13
+#: Largest relative gap accepted between the split maximum and the Binomial-table
+#: scan it replaced, whose convolution chain drifts linearly in m: 1.12 / 1.15e-13
+#: (m = 2047) and 2.26 / 2.29e-13 (m = 4095) from 30-digit mpmath at deltas 0.37 / 0.61.
+TABLE_SCAN_REL_BOUND = 3e-13
 #: Largest relative error accepted against the 40-digit references from
 #: 2**14 trials to the widest window; the largest measured is 2.9e-16
 #: (passage, m = 10**7 - 2, r = 0.0125), 2.8e-16 for the collision.
@@ -63,8 +78,9 @@ DP_TOL = 1e-12
 STEPS = (1, 50, 2000, 16384)
 RATES = (0.01, 0.1, 0.25, 0.5, 2 / 3, 0.9, 1.0)
 DELTAS = (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
-#: Split-scan cases: three deltas at small and medium m, one at m = 1023.
-SPLIT_CASES = [(m, delta) for m in (1, 51, 253) for delta in (0.1, 0.37, 0.95)] + [(1023, 0.61)]
+#: Split-maximum cases: three deltas at small and medium m, one at m = 1023, and
+#: delta = 0.999, near the end where the split peaks crowd, at m = 255.
+SPLIT_CASES = [(m, delta) for m in (1, 51, 253) for delta in (0.1, 0.37, 0.95)] + [(1023, 0.61), (255, 0.999)]
 #: The cross-check deltas, with the ends of the delta-star search range.
 SCAN_DELTAS = (1e-9, 0.01, 0.1, 0.37, 0.5, 0.61, 0.95, 1 - 1e-9)
 
@@ -244,15 +260,14 @@ def test_collision_within_bound_of_reference(m, delta):
 @pytest.mark.parametrize("m,delta", SPLIT_CASES)
 def test_split_max_within_bound_of_reference(m, delta):
     ref = split_reference(m, delta)
-    assert abs(two_block_max_prob(m, delta).value - ref) <= REL_BOUND * ref
+    assert abs(two_block_max_prob(m, delta).value - ref) <= SPLIT_REL_BOUND * ref
 
 
 @pytest.mark.parametrize("m", (2047, 4095))
-@pytest.mark.parametrize("delta", (0.37, 0.61))
+@pytest.mark.parametrize("delta", (0.37, 0.61, 0.999))
 def test_split_max_within_range_bound_at_its_witness(m, delta):
-    # one 2F1 series at the reported (split, point), which attains the
-    # maximum at these deltas (no other split ties within TIE_TOL); the full
-    # reference would evaluate four points per split
+    # one 2F1 series at the reported (split, point); the full reference
+    # would evaluate four points per split
     result = two_block_max_prob(m, delta)
     with mpmath.workdps(30):
         ref = _split_point(result.split, m - result.split, result.point, mpmath.mpf(delta) / 2)
@@ -290,6 +305,48 @@ def test_split_scan_matches_convolution_scan(delta):
         result = two_block_max_prob(m, delta)
         assert (result.split, result.point) == (split, point), m
         assert abs(result.value - value) <= 1e-13 * value, m
+
+
+#: The moved table scan's cross-check grid: m drawn once from a fixed seed up to
+#: ``SPLIT_SCAN_LIMIT``, with its largest odd count, at deltas from the small to
+#: the crowded end (at 0.999 and 1 - 1e-13 the split peaks lie within 1e-9 of
+#: each other, so several or all splits are evaluated exactly).
+TABLE_SCAN_TRIALS = sorted(random.Random(33).sample(range(301, 4095), 5)) + [4095]
+TABLE_SCAN_DELTAS = (0.01, 0.37, 0.9, 0.999, 1 - 1e-13)
+
+
+@pytest.mark.parametrize("m", TABLE_SCAN_TRIALS)
+def test_split_march_matches_the_table_scan(m):
+    for delta in TABLE_SCAN_DELTAS:
+        value, split, point = brute.table_split_scan(m, delta)
+        result = two_block_max_prob(m, delta)
+        assert (result.split, result.point) == (split, point), delta
+        assert abs(result.value - value) <= TABLE_SCAN_REL_BOUND * value, delta
+
+
+@pytest.mark.parametrize("m", (0, 1, 2, 9, 254, 4095))
+@pytest.mark.parametrize("delta", (5e-324, 1e-9, 0.01, 0.37, 0.999, 1 - 1e-13))
+def test_march_screens_every_split_within_its_bound(m, delta):
+    # every split's two points next to its mean, against their evaluation from two windows
+    q = 0.5 * delta
+    split, floor, screened = poisson_binomial._march(m, q)
+    exact = [poisson_binomial._split_points(m, int(l), int(f), q) for l, f in zip(split, floor)]
+    assert abs(screened - exact).max() <= MARCH_REL_BOUND * max(map(max, exact))
+    assert 2 * MARCH_REL_BOUND < poisson_binomial._SCREEN_BAND
+
+
+@pytest.mark.parametrize("delta", (0.37, 1 - 1e-13))
+def test_split_march_peak_memory_is_linear_in_the_terms(delta):
+    # the 2x2 maps of every split and their products: 83 and 85 bytes a term
+    # measured, the second where every split is evaluated exactly
+    m = 4095
+    tracemalloc.start()
+    try:
+        two_block_max_prob(m, delta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 120 * m + 64 * 1024
 
 
 def test_split_scan_peak_memory_stays_under_twelve_bytes_per_square_term():
@@ -332,6 +389,14 @@ def test_squared_collision_within_its_bound_up_to_ten_million(m, delta):
     # the sum of squares the walk route replaced, against the same references
     ref = large_collision_reference(m, delta)
     assert abs(brute.collision_prob_by_squares(m, delta) - ref) <= SQUARES_REL_BOUND * ref
+
+
+@pytest.mark.parametrize("m", (10**5, 5 * 10**6, 10**9))
+@pytest.mark.parametrize("delta", (0.05, 0.3, 0.9))
+def test_collision_parity_at_even_moves_is_bit_identical(m, delta):
+    # each parity entry is the series at its own i = ceil(j/2), so evaluating
+    # the even moves alone changes no bit of the sum
+    assert binomial_collision_prob(m, delta) == brute.collision_prob_by_all_parities(m, delta)
 
 
 def test_widest_is_the_largest_count_the_window_budget_admits():
