@@ -15,6 +15,18 @@ process, on the first :func:`main` call, and reused by every later call.
 When the first argument names a command, :func:`main` parses the rest with
 that command's parser alone; any other argument list (none, ``--help`` or
 an unknown command) goes to the top-level parser.
+
+A command's argument list is read in one pass over a table that
+:func:`_parser` builds from that command parser's own actions
+(:func:`_one_pass_table`), in front of argparse.  The pass accepts only
+exact option strings of store, append and ``store_true`` options, each
+store or append option followed by one value that does not start with
+``-``, converted by the option's ``type`` and inside its ``choices``, with
+every required option present; it sets defaults, appended lists and flags
+as argparse does.  Anything else (``--help``, an abbreviated or unknown
+option, ``--opt=value``, a value starting with ``-`` such as a negative
+number, a failed conversion, a missing option) falls back to argparse,
+so every usage line, error message and exit code is argparse's own.
 """
 
 from __future__ import annotations
@@ -251,12 +263,91 @@ def _add_instance(parser) -> None:
     parser.add_argument("--delta", type=float, required=True)
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: the one pass of :meth:`_one_pass` in front of argparse.
+
+    Unarmed (``_table`` is None) until :func:`_parser` arms it, it is plain
+    argparse.  Both :func:`main`'s direct command parse and the top-level
+    parser's dispatch to a command reach :meth:`parse_known_args`.
+    """
+
+    _table = None
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._table is not None and args is not None:
+            ns = self._one_pass(args, namespace)
+            if ns is not None:
+                return ns, []
+        return super().parse_known_args(args, namespace)
+
+    def _one_pass(self, args, namespace):
+        """The namespace argparse would return for ``args``, or None to leave them to argparse."""
+        options, defaults, required = self._table
+        ns = argparse.Namespace() if namespace is None else namespace
+        got = {dest: default for dest, default in defaults if not hasattr(ns, dest)}
+        seen = set()
+        tokens = iter(args)
+        for token in tokens:
+            if token not in options:
+                return None
+            action, convert = options[token]
+            seen.add(action)
+            if convert is None:
+                got[action.dest] = action.const
+                continue
+            value = next(tokens, "-")
+            if value.startswith("-"):
+                return None
+            try:
+                value = convert(value)
+            except (TypeError, ValueError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+            if isinstance(action, argparse._AppendAction):
+                value = [*(got.get(action.dest, getattr(ns, action.dest, None)) or ()), value]
+            got[action.dest] = value
+        if not required <= seen:
+            return None
+        for dest, value in got.items():
+            setattr(ns, dest, value)
+        return ns
+
+
+def _one_pass_table(parser):
+    """``(options, defaults, required)`` of a command parser for :meth:`_CommandParser._one_pass`.
+
+    ``options`` maps each option string to its action and its converter
+    (None for a flag).  None when the parser declares anything outside the
+    pass's grammar, which then leaves every argument list to argparse.
+    """
+    if parser._defaults or parser._mutually_exclusive_groups:
+        return None
+    options = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction):
+            continue
+        if type(action) is argparse._StoreTrueAction:
+            convert = None
+        elif (type(action) in (argparse._StoreAction, argparse._AppendAction) and action.nargs is None
+              and not (isinstance(action.default, str) and action.type is not None)):
+            convert = parser._registry_get("type", action.type, action.type)
+        else:
+            return None
+        if not action.option_strings:
+            return None
+        options.update(dict.fromkeys(action.option_strings, (action, convert)))
+    defaults = [(a.dest, a.default) for a in parser._actions
+                if a.dest is not argparse.SUPPRESS and a.default is not argparse.SUPPRESS]
+    return options, defaults, {a for a in parser._actions if a.required}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lipgames",
         description="Worst-case Lipschitz constants of delta-perturbed anonymous games",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p = sub.add_parser("lambda", help="evaluate the constant at one (n, k, delta)")
     _add_instance(p)
@@ -304,9 +395,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.lru_cache(maxsize=1)
 def _parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The process-wide parser of :func:`main` and its command parsers by name, built on its first call."""
+    """The process-wide parser of :func:`main` and its command parsers by name, built on its first call.
+
+    Each command parser is armed here with its one-pass table.
+    """
     parser = build_parser()
     (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command in commands.values():
+        command._table = _one_pass_table(command)
     return parser, commands
 
 

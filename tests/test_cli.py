@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -826,3 +827,149 @@ def test_coupling_computes_its_exact_value_before_the_simulation(capsys, monkeyp
     monkeypatch.setattr(lipgames.cli.cp, "simulate_coupling", lambda *a: calls.append("simulate") or simulate(*a))
     code, _, err = run_cli(capsys, "coupling", "--n", "10", "--k", "3", "--delta", "0.3", "--samples", "100")
     assert (code, err, calls) == (0, "", ["exact", "simulate"])
+
+
+#: Odd values and stray tokens for the generated argvs: help, `--`, values starting with `-`,
+#: values some option refuses, and valid values out of place.
+ODD_TOKENS = ("-h", "--help", "--", "", "-", "-3", "-0.5", str(10**30), "9" * 5000, "nan", "inf",
+              "-inf", "1e400", "1_0", " 7", "xml", "formula", "json", "auto", "0.5")
+
+
+def _option_value(action, rng):
+    if rng.random() < 0.1:
+        return rng.choice(ODD_TOKENS)
+    if action.choices is not None:
+        return rng.choice(action.choices)
+    if action.type is int:
+        return str(rng.randint(0, 40))
+    if action.type is float:
+        return repr(rng.random())
+    return "game.json"
+
+
+def _random_argv(parser, rng):
+    """A command's options in random order, some missing, repeated, abbreviated,
+    in ``--opt=value`` form, or with odd values, and stray tokens between them."""
+    argv = []
+    actions = [a for a in parser._actions if not isinstance(a, argparse._HelpAction)]
+    for action in rng.sample(actions, len(actions)) * rng.choice((1, 1, 2)):
+        if rng.random() < 0.05:
+            continue
+        option, form = action.option_strings[0], rng.random()
+        if form < 0.05:
+            option = option[:-1] if len(option) > 4 else option + "x"
+        if action.nargs == 0:
+            argv.append(option)
+        elif form > 0.95:
+            argv.append(f"{option}={_option_value(action, rng)}")
+        else:
+            argv += [option, _option_value(action, rng)]
+    for _ in range(rng.choice((0, 0, 0, 0, 1, 2))):
+        argv.insert(rng.randint(0, len(argv)), rng.choice(ODD_TOKENS))
+    return argv
+
+
+@pytest.mark.parametrize("name", ["lambda", "sweep", "coupling", "meet-time", "equilibrium", "delta-star", "verify"])
+def test_one_pass_equals_argparse_wherever_it_accepts(capsys, name):
+    parser = lipgames.cli._parser()[1][name]
+    rng = random.Random(f"one-pass:{name}")
+    accepted = 0
+    for _ in range(400):
+        argv = _random_argv(parser, rng)
+        try:
+            expected, extras = argparse.ArgumentParser.parse_known_args(
+                parser, argv, argparse.Namespace(command=name))
+        except SystemExit:
+            expected = extras = None
+        capsys.readouterr()
+        got = parser._one_pass(argv, argparse.Namespace(command=name))
+        if expected is None or extras:
+            assert got is None, argv
+        elif got is not None:
+            assert repr(got) == repr(expected), argv  # repr, so NaN equals NaN
+            accepted += 1
+    assert accepted > 0
+
+
+def _readme_argvs():
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    lines = text.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("lipgames ")]
+
+
+def _argparse_spy(monkeypatch):
+    reached = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def spied(parser, *args):
+        reached.append(args)
+        return parse(parser, *args)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", spied)
+    return reached
+
+
+def test_every_documented_argv_takes_the_one_pass(monkeypatch):
+    from test_cli_golden import GOLDEN, SWEEP
+
+    argvs = [argv.split() for argv, _ in GOLDEN] + [SWEEP + ["--format", fmt, "--output", "out." + fmt]
+                                                    for fmt in ("csv", "json")]
+    readme = _readme_argvs()
+    assert len(readme) == 7
+    argvs += readme + [list(base) for base in INTEGER_OPTIONS]
+    _, commands = lipgames.cli._parser()
+    reached = _argparse_spy(monkeypatch)
+    for argv in argvs:
+        commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    assert reached == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["lambda", "--n=4", "--k", "2", "--delta", "0.5"],
+    ["lambda", "--n", "4", "--k", "2", "--del", "0.5"],
+], ids=("equals-form", "abbreviated"))
+def test_argv_outside_the_one_pass_prints_what_the_canonical_form_prints(capsys, monkeypatch, argv):
+    canonical = run_cli(capsys, "lambda", "--n", "4", "--k", "2", "--delta", "0.5")
+    reached = _argparse_spy(monkeypatch)
+    assert run_cli(capsys, *argv) == canonical
+    assert len(reached) == 1
+
+
+@pytest.mark.parametrize("argv, code, out, err", [
+    (["lambda", "--n", "-3", "--k", "2", "--delta", "0.5"], 1, "",
+     "error: ValueError: player count must be an integer >= 2, got -3\n"),
+    (["delta-star", "--n", "10", "--k", "3", "--tol", "1"], 2, "",
+     "usage: lipgames delta-star [-h] --n N --k K [--json]\n"
+     "lipgames delta-star: error: unrecognized arguments: --tol 1\n"),
+], ids=("negative-value", "unknown-option"))
+def test_argparse_fallback_keeps_exit_codes_and_messages(capsys, argv, code, out, err):
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert (got, *capsys.readouterr()) == (code, out, err)
+
+
+def test_help_falls_back_to_argparse(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lambda", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: lipgames lambda [-h] --n N --k K --delta DELTA")
+    assert out == lipgames.cli._parser()[1]["lambda"].format_help()
+
+
+@pytest.mark.parametrize("declare", [
+    lambda p: p.add_argument("path"),
+    lambda p: p.add_argument("--verbose", action="count"),
+    lambda p: p.add_argument("--pair", nargs=2),
+    lambda p: p.add_argument("--size", type=int, default="3"),
+    lambda p: p.set_defaults(mode="fast"),
+    lambda p: p.add_mutually_exclusive_group().add_argument("--alone"),
+], ids=("positional", "count", "nargs", "string-default-with-type", "set-defaults", "exclusive-group"))
+def test_a_parser_declaring_outside_the_grammar_is_left_to_argparse(declare):
+    parser = lipgames.cli._CommandParser()
+    parser.add_argument("--k", type=int)
+    assert lipgames.cli._one_pass_table(parser) is not None
+    declare(parser)
+    assert lipgames.cli._one_pass_table(parser) is None

@@ -15,6 +15,8 @@ window's entries bit for bit to the full-support ratio runs of
 collision to the squared window it replaced and bit for bit to its parity
 factor over every move, and the split maximum's witness to the O(n^3)
 convolution scan and to the O(n^2) Binomial-table scan the march replaced.
+The brute-force oracle is held to its own, wider bound at (255, 2), where its
+rounding, not the closed form's, sets their difference.
 """
 
 import functools
@@ -28,6 +30,8 @@ import pytest
 from lipgames import (
     BudgetExceededError,
     binomial_collision_prob,
+    lipschitz_constant,
+    lipschitz_oracle,
     passage_prob,
     random_walk,
     two_block_max_prob,
@@ -58,6 +62,10 @@ MARCH_REL_BOUND = 1e-13
 #: scan it replaced, whose convolution chain drifts linearly in m: 1.12 / 1.15e-13
 #: (m = 2047) and 2.26 / 2.29e-13 (m = 4095) from 30-digit mpmath at deltas 0.37 / 0.61.
 TABLE_SCAN_REL_BOUND = 3e-13
+#: Largest relative error accepted of the brute-force oracle at (255, 2), against
+#: the same 30-digit split references: measured 1.36e-14 (delta = 0.37) and
+#: 1.39e-14 (delta = 0.999), about 60 ulp, 40x the split march's error there.
+ORACLE_REL_BOUND = 5e-14
 #: Largest relative error accepted against the 40-digit references from
 #: 2**14 trials to the widest window; the largest measured is 2.9e-16
 #: (passage, m = 10**7 - 2, r = 0.0125), 2.8e-16 for the collision.
@@ -289,6 +297,15 @@ def test_split_witness_attains_the_value_where_split_peaks_crowd():
     with mpmath.workdps(30):
         ref = _split_point(result.split, m - result.split, result.point, mpmath.mpf(delta) / 2)
     assert abs(result.value - ref) <= SCAN_RANGE_REL_BOUND * ref
+
+
+@pytest.mark.parametrize("delta", (0.37, 0.999))
+def test_oracle_at_255_players_rounds_within_its_bound(delta):
+    # at odd n and k = 2 the constant is (1 - delta) times the split maximum of n - 2 terms
+    with mpmath.workdps(30):
+        ref = (1 - mpmath.mpf(delta)) * split_reference(253, delta)
+    assert abs(lipschitz_oracle(255, 2, delta).value - ref) <= ORACLE_REL_BOUND * ref
+    assert abs(lipschitz_constant(255, 2, delta).value - ref) <= SPLIT_REL_BOUND * ref
 
 
 @pytest.mark.parametrize("delta", (0.25, 0.5, 0.75))
